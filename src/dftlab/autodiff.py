@@ -16,6 +16,9 @@ Conventions
   so probabilities touching zero produce a large-but-finite value instead
   of -inf. Inputs below the floor get zero gradient (the clamped branch is
   constant). This only matters for pathological inputs.
+* An OpNode holds its output tensor weakly, so a graph has no reference
+  cycle: it is freed as soon as the loss (and any ComputationRecord
+  returned for it) is dropped, without waiting for the cyclic collector.
 * A graph (one ComputationRecord and its Tensors) belongs to a single
   thread. There is no global tape, so independent graphs never share
   state.
@@ -24,7 +27,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,7 +42,7 @@ def _as_array(data) -> np.ndarray:
 class Tensor:
     """A dense float64 array with an optional gradient record."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_node")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
@@ -125,14 +128,32 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
-@dataclass
 class OpNode:
-    """One applied primitive: inputs, output, and its backward rule."""
+    """One applied primitive: inputs, output, and its backward rule.
 
-    op: str
-    inputs: tuple
-    output: "Tensor"
-    backward: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]
+    The output is held through a weak reference; the output holds the
+    node (``Tensor._node``), and a strong link back would make every
+    graph a reference cycle.
+    """
+
+    __slots__ = ("op", "inputs", "_output", "backward")
+
+    def __init__(
+        self,
+        op: str,
+        inputs: tuple,
+        output: Tensor,
+        backward: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]],
+    ):
+        self.op = op
+        self.inputs = inputs
+        self._output = weakref.ref(output)
+        self.backward = backward
+
+    @property
+    def output(self) -> Optional[Tensor]:
+        """The tensor this op produced, or None once it has been freed."""
+        return self._output()
 
 
 class ComputationRecord:
@@ -347,11 +368,11 @@ _GELU_K = 0.044715
 
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU."""
-    u = _GELU_C * (x.data + _GELU_K * x.data**3)
+    u = _GELU_C * (x.data + _GELU_K * (x.data * x.data * x.data))
     t = np.tanh(u)
 
     def bw(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_K * x.data**2)
+        du = _GELU_C * (1.0 + 3.0 * _GELU_K * (x.data * x.data))
         local = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
         return (g * local,)
 

@@ -6,6 +6,18 @@ smooth on purpose: the theory oracles lean on finite-difference checks,
 and a kinked MLP would poison them near the kink. Token ids 0 and 1 are
 reserved everywhere in this package: 0 pads batches, 1 ends a response.
 
+``Model.forward(ids, cache)`` is the one transformer forward. Without a
+cache it runs the whole (batch, length) id matrix through the autodiff
+graph. With a ``KVCache`` it is an incremental decode step: ``ids`` are
+the positions right after the cached ones, position embeddings start at
+the cached length, each new query attends to every cached key plus the
+new keys up to itself, and the new keys and values are appended to the
+cache in place. A cache skips the graph for the cached positions, so it
+is only accepted on a gradient-free (``detached``) model. ``sample_batch``
+prefills one cache per prompt-length group, then forwards one position
+per still-running row per step, and drops a row from the batch and from
+the cache once it has emitted EOS.
+
 Checkpoint file layout (little-endian throughout):
 
     magic           8 bytes  b"DFTCKPT1"
@@ -19,6 +31,10 @@ Checkpoint file layout (little-endian throughout):
         dims        ndim * uint64
         data        product(dims) * float64
 
+``save_checkpoint`` writes to ``<path>.tmp`` and renames it over
+``path``. ``load_checkpoint`` requires exactly the config's parameter
+set, each once with its config shape, and no bytes after the last one.
+
 Canonical parameter order is the insertion order of ``Model.params``:
 wte, wpe, per-layer blocks (ln1, attention, ln2, mlp), final norm, head.
 Flat gradient vectors used by the theory oracles concatenate in this
@@ -28,6 +44,7 @@ same order.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 
@@ -97,6 +114,37 @@ def expected_param_count(config: ModelConfig) -> int:
         config.n_layers,
     )
     return v * d + t * d + layers * (12 * d * d + 13 * d) + 2 * d + d * v + v
+
+
+class KVCache:
+    """Keys and values of the positions a model has already forwarded.
+
+    One (keys, values) pair per layer, each (batch, heads, length,
+    head_dim). ``Model.forward(ids, cache)`` appends the new positions;
+    ``keep(rows)`` drops every other batch row from every layer.
+    """
+
+    def __init__(self):
+        self.layers: list = []
+
+    @property
+    def length(self) -> int:
+        return self.layers[0][0].shape[2] if self.layers else 0
+
+    def keep(self, rows) -> None:
+        self.layers = [(k[rows], v[rows]) for k, v in self.layers]
+
+    def extend(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple:
+        """Append one layer's new keys and values; returns all of them."""
+        if layer == len(self.layers):
+            self.layers.append((k, v))
+        else:
+            old_k, old_v = self.layers[layer]
+            self.layers[layer] = (
+                np.concatenate([old_k, k], axis=2),
+                np.concatenate([old_v, v], axis=2),
+            )
+        return self.layers[layer]
 
 
 class Model:
@@ -180,19 +228,22 @@ class Model:
 
     # --- forward paths ---
 
-    def forward(self, token_ids: np.ndarray) -> Tensor:
+    def forward(self, token_ids: np.ndarray, cache: KVCache | None = None) -> Tensor:
         """Logits (batch, length, vocab) for a (batch, length) int matrix.
 
-        Causal: position t sees tokens at positions <= t only.
+        Causal: position t sees tokens at positions <= t only. With a
+        ``cache``, ``token_ids`` continue the cached positions and the
+        cache grows by ``length``; the model must be gradient-free.
         """
         ids = np.asarray(token_ids)
         if ids.ndim != 2:
             raise ValueError(f"forward expects a 2-D id matrix, got shape {ids.shape}")
         b, t = ids.shape
         c = self.config
-        if t > c.context_length:
+        start = 0 if cache is None else cache.length
+        if start + t > c.context_length:
             raise ValueError(
-                f"sequence length {t} exceeds context_length {c.context_length}"
+                f"sequence length {start + t} exceeds context_length {c.context_length}"
             )
         if t == 0:
             raise ValueError("forward on empty sequence")
@@ -201,12 +252,16 @@ class Model:
                 f"token id out of vocab (size {c.vocab_size}): "
                 f"range [{ids.min()}, {ids.max()}]"
             )
+        if cache is not None and any(w.requires_grad for w in self.params.values()):
+            raise ValueError(
+                "a K/V cache bypasses autodiff; forward it on model.detached()"
+            )
         p = self.params
         h = c.n_heads
         hd = c.d_model // h
 
-        x = add(embedding(p["wte"], ids), embedding(p["wpe"], np.arange(t)))
-        causal = ~np.tril(np.ones((t, t), dtype=bool))
+        x = add(embedding(p["wte"], ids), embedding(p["wpe"], np.arange(start, start + t)))
+        causal = ~np.tril(np.ones((t, start + t), dtype=bool), k=start)
 
         for i in range(c.n_layers):
             pre = f"layers.{i}."
@@ -219,6 +274,8 @@ class Model:
             q = heads("wq", "bq")
             k = heads("wk", "bk")
             v = heads("wv", "bv")
+            if cache is not None:
+                k, v = map(Tensor, cache.extend(i, k.data, v.data))
             att = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
             att = mask_fill(att, causal, _MASK_FILL_VALUE)
             out = matmul(softmax(att), v)
@@ -288,7 +345,11 @@ def sample_batch(
 
     Prompts are grouped by length so rows stay position-aligned (the model
     has no pad-aware attention); per-prompt streams make the output
-    independent of grouping.
+    independent of grouping. Each group prefills one K/V cache with its
+    prompts, then forwards one new position per running row per step; a
+    row that emits EOS leaves the batch and the cache. Unless greedy, each
+    running row draws one ``random()`` from its own stream per step, in
+    row order.
     """
     if len(prompts) != len(seeds):
         raise ValueError("prompts and seeds must align")
@@ -305,14 +366,14 @@ def sample_batch(
         by_len.setdefault(len(prompt), []).append(idx)
 
     for plen, indices in sorted(by_len.items()):
-        cur = np.array([prompts[i] for i in indices], dtype=np.int64)
+        step = np.array([prompts[i] for i in indices], dtype=np.int64)
         rngs = [np.random.default_rng(seeds[i]) for i in indices]
-        nrows = len(indices)
-        outs = [[] for _ in range(nrows)]
-        done = np.zeros(nrows, dtype=bool)
+        outs = [[] for _ in indices]
+        live = np.arange(len(indices))  # group rows still sampling, in row order
+        cache = KVCache()
         limit = min(max_new, model.config.context_length - plen)
         for _ in range(limit):
-            logits = net.forward(cur).data[:, -1, :]
+            logits = net.forward(step, cache).data[:, -1, :]
             if greedy:
                 tokens = np.argmax(logits, axis=-1)
             else:
@@ -321,26 +382,22 @@ def sample_batch(
                 e = np.exp(z)
                 probs = e / e.sum(axis=-1, keepdims=True)
                 cdf = np.cumsum(probs, axis=-1)
-                tokens = np.empty(nrows, dtype=np.int64)
-                for r in range(nrows):
-                    if done[r]:
-                        tokens[r] = PAD_ID
-                        continue
+                tokens = np.empty(len(live), dtype=np.int64)
+                for j, r in enumerate(live):
                     u = rngs[r].random()
-                    tokens[r] = min(
-                        int(np.searchsorted(cdf[r], u, side="right")),
+                    tokens[j] = min(
+                        int(np.searchsorted(cdf[j], u, side="right")),
                         model.config.vocab_size - 1,
                     )
-            col = np.where(done, PAD_ID, tokens)
-            for r in range(nrows):
-                if done[r]:
-                    continue
-                outs[r].append(int(col[r]))
-                if col[r] == EOS_ID:
-                    done[r] = True
-            if done.all():
+            for r, token in zip(live, tokens):
+                outs[r].append(int(token))
+            running = tokens != EOS_ID
+            if not running.any():
                 break
-            cur = np.concatenate([cur, col[:, None]], axis=1)
+            if not running.all():
+                live, tokens = live[running], tokens[running]
+                cache.keep(running)
+            step = tokens[:, None]
         for r, idx in enumerate(indices):
             results[idx] = outs[r]
     return results
@@ -361,44 +418,89 @@ def batch_token_log_probs(model: Model, ids: np.ndarray) -> Tensor:
 
 
 def save_checkpoint(model: Model, path) -> None:
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        cfg = json.dumps(model.config.to_dict(), sort_keys=True).encode()
-        f.write(struct.pack("<I", len(cfg)))
-        f.write(cfg)
-        f.write(struct.pack("<I", len(model.params)))
-        for name, t in model.params.items():
-            raw = name.encode()
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<I", t.data.ndim))
-            for dim in t.data.shape:
-                f.write(struct.pack("<Q", dim))
-            f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    """Write ``model`` to ``path`` atomically: a temp file, then ``os.replace``.
+
+    A crash mid-write leaves any earlier checkpoint at ``path`` intact.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_CKPT_MAGIC)
+            cfg = json.dumps(model.config.to_dict(), sort_keys=True).encode()
+            f.write(struct.pack("<I", len(cfg)))
+            f.write(cfg)
+            f.write(struct.pack("<I", len(model.params)))
+            for name, t in model.params.items():
+                raw = name.encode()
+                f.write(struct.pack("<I", len(raw)))
+                f.write(raw)
+                f.write(struct.pack("<I", t.data.ndim))
+                for dim in t.data.shape:
+                    f.write(struct.pack("<Q", dim))
+                f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Model:
+    """Read a checkpoint holding exactly its config's parameter set.
+
+    Raises ValueError, naming ``path``, for a bad magic or config, an
+    unknown, repeated, missing or misshapen parameter, a truncated file,
+    or bytes after the last parameter.
+    """
     with open(path, "rb") as f:
-        if f.read(8) != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (cfg_len,) = struct.unpack("<I", f.read(4))
-        config = ModelConfig.from_dict(json.loads(f.read(cfg_len).decode()))
-        model = Model(config)
-        (n_params,) = struct.unpack("<I", f.read(4))
-        for _ in range(n_params):
-            (name_len,) = struct.unpack("<I", f.read(4))
-            name = f.read(name_len).decode()
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = tuple(
-                struct.unpack("<Q", f.read(8))[0] for _ in range(ndim)
+        raw = f.read()
+    if raw[:8] != _CKPT_MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    pos = 8
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(raw):
+            raise ValueError(
+                f"{path}: truncated: needs {pos + n} bytes, file has {len(raw)}"
             )
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(count * 8), dtype="<f8").reshape(shape)
-            if name not in model.params:
-                raise ValueError(f"{path}: unknown parameter {name!r}")
-            if model.params[name].data.shape != shape:
-                raise ValueError(
-                    f"{path}: shape {shape} for {name!r} does not match config"
-                )
-            model.params[name] = Tensor(data.copy(), requires_grad=True)
+        chunk = raw[pos:pos + n]
+        pos += n
+        return chunk
+
+    (cfg_len,) = struct.unpack("<I", take(4))
+    try:
+        config = ModelConfig.from_dict(json.loads(take(cfg_len).decode()))
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: bad config: {exc}") from None
+    model = Model(config)
+    (n_params,) = struct.unpack("<I", take(4))
+    loaded = set()
+    for _ in range(n_params):
+        (name_len,) = struct.unpack("<I", take(4))
+        name = take(name_len).decode(errors="replace")
+        (ndim,) = struct.unpack("<I", take(4))
+        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+        if name not in model.params:
+            raise ValueError(f"{path}: unknown parameter {name!r}")
+        if name in loaded:
+            raise ValueError(f"{path}: parameter {name!r} appears twice")
+        if model.params[name].data.shape != shape:
+            raise ValueError(
+                f"{path}: shape {shape} for {name!r} does not match config"
+            )
+        count = int(np.prod(shape)) if shape else 1
+        data = np.frombuffer(take(count * 8), dtype="<f8").reshape(shape)
+        model.params[name] = Tensor(data.copy(), requires_grad=True)
+        loaded.add(name)
+    if pos != len(raw):
+        raise ValueError(
+            f"{path}: {len(raw) - pos} trailing bytes after the last parameter"
+        )
+    missing = [name for name in model.params if name not in loaded]
+    if missing:
+        raise ValueError(
+            f"{path}: missing {len(missing)} of {len(model.params)} parameters: "
+            f"{', '.join(missing)}"
+        )
     return model

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 import zlib
 
 import numpy as np
@@ -120,6 +122,27 @@ def test_record_is_topologically_ordered():
             assert id(parent) in seen or parent._node is None
         seen.add(id(node.output))
     assert len({id(n) for n in record}) == len(record) == 4
+
+
+def test_graph_is_freed_without_the_cyclic_collector():
+    rng = np.random.default_rng(3)
+    w = rnd(rng, 4, 3)
+    x = Tensor(rng.standard_normal((5, 4)))
+    gc.disable()
+    try:
+        hidden = gelu(matmul(x, w))
+        loss = tensor_mean(softmax(hidden))
+        record = backward(loss)
+        node = next(n for n in record if n.op == "gelu")
+        assert node.output is hidden
+        probe = weakref.ref(hidden)
+        del hidden, node
+        assert probe() is not None  # still held as an input of softmax
+        del loss, record
+        assert probe() is None
+        assert w.grad is not None
+    finally:
+        gc.enable()
 
 
 # --- stop gradient ---

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from dftlab.autodiff import gather, log, reshape, softmax
+from dftlab.autodiff import Tensor, gather, log, reshape, softmax
 from dftlab.model import (
     EOS_ID,
+    KVCache,
     Model,
     ModelConfig,
     expected_param_count,
@@ -189,6 +190,118 @@ def test_sample_batch_grouping_matches_single(small_model):
     assert batched == singles
 
 
+# --- K/V cache ---
+
+
+def test_cached_steps_match_full_forward_with_rows_dropped(small_model):
+    net = small_model.detached()
+    rng = np.random.default_rng(5)
+    seqs = rng.integers(0, SMALL.vocab_size, size=(4, SMALL.context_length))
+    full = net.forward(seqs).data
+    cache = KVCache()
+    rows = np.arange(4)
+    prefill = 3
+    got = net.forward(seqs[:, :prefill], cache).data
+    assert np.max(np.abs(got - full[:, :prefill])) <= 1e-12
+    for pos in range(prefill, SMALL.context_length):
+        if pos in (6, 11):  # drop the first remaining row partway through
+            keep = np.arange(len(rows)) != 0
+            rows = rows[keep]
+            cache.keep(keep)
+        got = net.forward(seqs[rows, pos:pos + 1], cache).data
+        assert cache.length == pos + 1
+        assert np.max(np.abs(got[:, 0] - full[rows, pos])) <= 1e-12, pos
+
+
+def test_cache_needs_a_gradient_free_model(small_model):
+    with pytest.raises(ValueError, match="autodiff"):
+        small_model.forward(np.array([[2, 3]]), KVCache())
+
+
+def test_cache_rejects_positions_past_the_context(small_model):
+    net = small_model.detached()
+    cache = KVCache()
+    net.forward(np.full((2, SMALL.context_length - 1), 2), cache)
+    net.forward(np.full((2, 1), 3), cache)
+    with pytest.raises(ValueError, match="context_length"):
+        net.forward(np.full((2, 1), 3), cache)
+    fresh = KVCache()
+    net.forward(np.full((1, 4), 2), fresh)
+    with pytest.raises(ValueError, match="context_length"):
+        net.forward(np.full((1, SMALL.context_length - 3), 2), fresh)
+
+
+def full_prefix_sample_batch(model, prompts, max_new, temperature, seeds, greedy=False):
+    """Reference sampler: re-forwards every row's whole prefix for each token.
+
+    Same per-row stream protocol as ``sample_batch``: one ``random()`` per
+    unfinished row per step, in row order.
+    """
+    net = model.detached()
+    results = [None] * len(prompts)
+    by_len = {}
+    for idx, prompt in enumerate(prompts):
+        by_len.setdefault(len(prompt), []).append(idx)
+    for plen, indices in by_len.items():
+        cur = np.array([prompts[i] for i in indices], dtype=np.int64)
+        rngs = [np.random.default_rng(seeds[i]) for i in indices]
+        outs = [[] for _ in indices]
+        done = [False] * len(indices)
+        for _ in range(min(max_new, model.config.context_length - plen)):
+            logits = net.forward(cur).data[:, -1, :]
+            col = np.zeros(len(indices), dtype=np.int64)
+            for r in range(len(indices)):
+                if done[r]:
+                    continue
+                if greedy:
+                    col[r] = int(np.argmax(logits[r]))
+                else:
+                    z = logits[r] / temperature
+                    e = np.exp(z - z.max())
+                    cdf = np.cumsum(e / e.sum())
+                    u = rngs[r].random()
+                    col[r] = min(int(np.searchsorted(cdf, u, side="right")),
+                                 model.config.vocab_size - 1)
+                outs[r].append(int(col[r]))
+                done[r] = col[r] == EOS_ID
+            if all(done):
+                break
+            cur = np.concatenate([cur, col[:, None]], axis=1)
+        for r, idx in enumerate(indices):
+            results[idx] = outs[r]
+    return results
+
+
+@pytest.mark.parametrize("greedy", [False, True])
+def test_sample_batch_matches_full_prefix_reference(small_model, greedy):
+    rng = np.random.default_rng(9)
+    prompts = [list(rng.integers(2, SMALL.vocab_size, size=n)) for n in
+               (1, 3, 3, 3, 3, 3, 5, 5, 2, 14, 3, 1)]
+    seeds = list(range(100, 100 + len(prompts)))
+    got = sample_batch(small_model, prompts, 12, 0.7, seeds, greedy)
+    want = full_prefix_sample_batch(small_model, prompts, 12, 0.7, seeds, greedy)
+    assert got == want
+    assert len({len(c) for c in got}) > 2  # rows end at different steps
+
+
+def test_finished_rows_stop_reaching_forward(small_model, monkeypatch):
+    forwarded = []
+    original = Model.forward
+
+    def counting(self, ids, cache=None):
+        forwarded.append(np.asarray(ids).size)
+        return original(self, ids, cache)
+
+    monkeypatch.setattr(Model, "forward", counting)
+    prompts = [[2, 3]] * 6 + [[4, 5, 6]] * 5
+    out = sample_batch(small_model, prompts, 10, 1.0, list(range(len(prompts))))
+    # one prefill per length group, then one position per step for each row
+    # that has not yet emitted EOS
+    expected = sum(len(p) for p in prompts) + sum(len(c) - 1 for c in out)
+    assert sum(forwarded) == expected
+    assert len({len(c) for c in out}) > 1
+
+
 # --- checkpoints ---
 
 
@@ -212,3 +325,37 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(ValueError, match="not a checkpoint"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_missing_parameter(tmp_path, small_model):
+    partial = small_model.detached()
+    del partial.params["layers.1.mlp.b2"]
+    path = tmp_path / "partial.ckpt"
+    save_checkpoint(partial, path)
+    with pytest.raises(ValueError, match=r"partial\.ckpt.*missing.*layers\.1\.mlp\.b2"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_truncated_and_padded_files(tmp_path, small_model):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model, path)
+    raw = path.read_bytes()
+    for cut in (len(raw) - 1, len(raw) - 8 * 5, 13):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match=r"model\.ckpt: truncated"):
+            load_checkpoint(path)
+    path.write_bytes(raw + bytes(64))
+    with pytest.raises(ValueError, match=r"model\.ckpt: 64 trailing bytes"):
+        load_checkpoint(path)
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, small_model):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model, path)
+    before = path.read_bytes()
+    broken = small_model.detached()
+    broken.params["\ud800"] = Tensor(np.zeros(1))  # name fails to encode mid-write
+    with pytest.raises(UnicodeEncodeError):
+        save_checkpoint(broken, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
