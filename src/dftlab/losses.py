@@ -20,11 +20,15 @@ gradient must not flow through:
 The focal baseline's (1-p)^gamma factor is deliberately NOT detached;
 that matches the standard focal loss. The asymmetry with the dynamic
 losses is the point of the contrast.
+
+Each kind's weight is written once, in ``_weight``; ``compute_loss``
+(which the five ``*_loss`` functions call) and ``diagnostics`` both
+read it from there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,17 +43,16 @@ DEFAULT_IW_CLIP = 4.0
 
 @dataclass
 class LossSpec:
-    """Choice of objective plus its knobs.
+    """Choice of objective plus its knobs; every field serializes.
 
-    ``reference_log_probs`` is runtime data for iw_sft (per-token log
-    probs under the data-generating policy); it is never serialized.
+    iw_sft's per-token reference log probs are runtime data, passed to
+    ``compute_loss`` and ``diagnostics`` rather than stored here.
     """
 
     kind: str = "sft"
     gamma: Optional[float] = None
     reduction: str = "mean"
     iw_clip: Optional[float] = None
-    reference_log_probs: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -65,11 +68,8 @@ class LossSpec:
                 self.iw_clip = DEFAULT_IW_CLIP
             if self.iw_clip <= 0:
                 raise ValueError("iw_clip must be > 0")
-        else:
-            if self.iw_clip is not None:
-                raise ValueError("iw_clip only applies to iw_sft")
-            if self.reference_log_probs is not None:
-                raise ValueError("reference_log_probs only applies to iw_sft")
+        elif self.iw_clip is not None:
+            raise ValueError("iw_clip only applies to iw_sft")
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "reduction": self.reduction}
@@ -120,52 +120,71 @@ def _prep_mask(token_log_probs: Tensor, mask) -> np.ndarray:
     return mask
 
 
-def _reduce(per_token: Tensor, mask: np.ndarray, reduction: str,
-            row_weights: Optional[np.ndarray] = None) -> Tensor:
-    """Masked per-sequence reduction, then mean over any batch dimension."""
-    contrib = mul(per_token, Tensor(mask.astype(np.float64)))
-    row = tensor_sum(contrib, axis=-1)
-    if reduction == "mean":
-        counts = mask.sum(axis=-1).astype(np.float64)
-        row = mul(row, Tensor(1.0 / counts))
-    if row_weights is not None:
-        row = mul(row, Tensor(row_weights))
-    if row.data.ndim == 0:
-        return row
-    return row.mean()
+def _weight(spec: LossSpec, logp: Tensor, mask: np.ndarray, ref=None):
+    """The one definition of each kind's multiplier on -log p.
+
+    Returns a per-token Tensor shaped like ``logp``, or for dft_sequence
+    an array with one weight per row: the detached product of the row's
+    unmasked token probabilities, applied after the row reduction. Only
+    focal's weight carries a gradient.
+    """
+    if spec.kind == "sft":
+        return Tensor(np.ones(logp.shape))
+    if spec.kind == "dft_token":
+        return stop_gradient(exp(logp))
+    if spec.kind == "dft_sequence":
+        return np.exp(np.sum(np.where(mask, logp.data, 0.0), axis=-1))
+    if spec.kind == "focal":
+        return scale(exp(logp), -1.0, shift=1.0) ** spec.gamma
+    if ref is None:
+        raise ValueError("iw_sft requires reference_log_probs")
+    ref = np.asarray(ref, dtype=np.float64)
+    if ref.shape != logp.shape:
+        raise ValueError(f"reference log probs shape {ref.shape} must match {logp.shape}")
+    return Tensor(np.minimum(np.exp(logp.data - ref), spec.iw_clip))
+
+
+def compute_loss(spec: LossSpec, token_log_probs: Tensor, mask=None,
+                 reference_log_probs=None) -> Tensor:
+    """Reduce ``_weight`` * -log p over unmasked tokens for spec.kind.
+
+    Each sequence is reduced first (sum, or mean over its unmasked
+    tokens), then any batch dimension is averaged. ``reference_log_probs``
+    (shaped like the log probs) is required for iw_sft and ignored by
+    every other kind.
+    """
+    mask = _prep_mask(token_log_probs, mask)
+    weight = _weight(spec, token_log_probs, mask, reference_log_probs)
+    per_token = scale(token_log_probs, -1.0)
+    if isinstance(weight, Tensor):
+        per_token = mul(weight, per_token)
+    row = tensor_sum(mul(per_token, Tensor(mask.astype(np.float64))), axis=-1)
+    if spec.reduction == "mean":
+        row = mul(row, Tensor(1.0 / mask.sum(axis=-1).astype(np.float64)))
+    if not isinstance(weight, Tensor):
+        row = mul(row, Tensor(weight))
+    return row if row.data.ndim == 0 else row.mean()
 
 
 def sft_loss(token_log_probs: Tensor, mask=None, reduction: str = "mean") -> Tensor:
     """Plain cross-entropy: reduction of -log p_t over unmasked tokens."""
-    mask = _prep_mask(token_log_probs, mask)
-    return _reduce(scale(token_log_probs, -1.0), mask, reduction)
+    return compute_loss(LossSpec("sft", reduction=reduction), token_log_probs, mask)
 
 
 def dft_token_loss(token_log_probs: Tensor, mask=None, reduction: str = "mean") -> Tensor:
     """Cross-entropy with each token scaled by its own detached probability."""
-    mask = _prep_mask(token_log_probs, mask)
-    weight = stop_gradient(exp(token_log_probs))
-    return _reduce(mul(weight, scale(token_log_probs, -1.0)), mask, reduction)
+    return compute_loss(LossSpec("dft_token", reduction=reduction), token_log_probs, mask)
 
 
 def dft_sequence_loss(token_log_probs: Tensor, mask=None, reduction: str = "mean") -> Tensor:
     """Cross-entropy scaled by the detached whole-sequence probability."""
-    mask = _prep_mask(token_log_probs, mask)
-    log_w = np.sum(np.where(mask, token_log_probs.data, 0.0), axis=-1)
-    seq_weight = np.exp(log_w)
-    base = scale(token_log_probs, -1.0)
-    return _reduce(base, mask, reduction, row_weights=seq_weight)
+    return compute_loss(LossSpec("dft_sequence", reduction=reduction), token_log_probs, mask)
 
 
 def focal_loss(token_log_probs: Tensor, mask=None, gamma: float = 2.0,
                reduction: str = "mean") -> Tensor:
     """Focal contrast: -(1-p)^gamma log p, the (1-p)^gamma factor differentiable."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    mask = _prep_mask(token_log_probs, mask)
-    p = exp(token_log_probs)
-    factor = scale(p, -1.0, shift=1.0) ** gamma
-    return _reduce(mul(factor, scale(token_log_probs, -1.0)), mask, reduction)
+    return compute_loss(LossSpec("focal", gamma, reduction), token_log_probs, mask)
 
 
 def iw_sft_loss(token_log_probs: Tensor, reference_log_probs, mask=None,
@@ -176,63 +195,30 @@ def iw_sft_loss(token_log_probs: Tensor, reference_log_probs, mask=None,
     approximation of the externally defined objective, kept for baseline
     comparisons only.
     """
-    ref = np.asarray(reference_log_probs, dtype=np.float64)
-    if ref.shape != token_log_probs.shape:
-        raise ValueError(
-            f"reference log probs shape {ref.shape} must match {token_log_probs.shape}"
-        )
-    if iw_clip <= 0:
-        raise ValueError("iw_clip must be > 0")
-    mask = _prep_mask(token_log_probs, mask)
-    ratio = np.minimum(np.exp(token_log_probs.data - ref), iw_clip)
-    return _reduce(mul(Tensor(ratio), scale(token_log_probs, -1.0)), mask, reduction)
+    spec = LossSpec("iw_sft", reduction=reduction, iw_clip=iw_clip)
+    return compute_loss(spec, token_log_probs, mask, reference_log_probs)
 
 
-def compute_loss(spec: LossSpec, token_log_probs: Tensor, mask=None,
-                 reference_log_probs=None) -> Tensor:
-    """Dispatch on spec.kind."""
-    if spec.kind == "sft":
-        return sft_loss(token_log_probs, mask, spec.reduction)
-    if spec.kind == "dft_token":
-        return dft_token_loss(token_log_probs, mask, spec.reduction)
-    if spec.kind == "dft_sequence":
-        return dft_sequence_loss(token_log_probs, mask, spec.reduction)
-    if spec.kind == "focal":
-        return focal_loss(token_log_probs, mask, spec.gamma, spec.reduction)
-    ref = reference_log_probs if reference_log_probs is not None else spec.reference_log_probs
-    if ref is None:
-        raise ValueError("iw_sft requires reference_log_probs")
-    return iw_sft_loss(token_log_probs, ref, mask, spec.iw_clip, spec.reduction)
-
-
-def diagnostics(token_log_probs, loss_spec: LossSpec) -> TokenDiagnostics:
+def diagnostics(token_log_probs, loss_spec: LossSpec,
+                reference_log_probs=None) -> TokenDiagnostics:
     """Per-token probabilities, implicit weights, and the active loss weight.
 
     Expects the log probs of one sequence; the sequence-level weight is
-    the product over all provided tokens.
+    the product over all provided tokens. ``reference_log_probs`` is
+    required for iw_sft, as in ``compute_loss``.
     """
-    logp = token_log_probs.data if isinstance(token_log_probs, Tensor) else \
-        np.asarray(token_log_probs, dtype=np.float64)
-    p = np.exp(logp)
-    w = 1.0 / np.maximum(p, LOG_FLOOR)
+    logp = token_log_probs if isinstance(token_log_probs, Tensor) else Tensor(token_log_probs)
+    p = np.exp(logp.data)
+    weight = _weight(loss_spec, logp, _prep_mask(logp, None), reference_log_probs)
     seq_weight = None
-    if loss_spec.kind == "sft":
-        eff = np.ones_like(p)
-    elif loss_spec.kind == "dft_token":
-        eff = p.copy()
-    elif loss_spec.kind == "dft_sequence":
-        seq_weight = float(np.exp(np.sum(logp)))
-        eff = np.full_like(p, seq_weight)
-    elif loss_spec.kind == "focal":
-        eff = (1.0 - p) ** loss_spec.gamma
+    if isinstance(weight, Tensor):
+        eff = weight.data
     else:
-        if loss_spec.reference_log_probs is None:
-            raise ValueError("iw_sft diagnostics require reference_log_probs")
-        ratio = np.exp(logp - np.asarray(loss_spec.reference_log_probs))
-        eff = np.minimum(ratio, loss_spec.iw_clip)
+        seq_weight = float(weight)
+        eff = np.full_like(p, seq_weight)
     return TokenDiagnostics(
         p=p,
-        w=w,
+        w=1.0 / np.maximum(p, LOG_FLOOR),
         effective_weight=eff,
         indicator_reward=np.ones_like(p),
         sequence_weight=seq_weight,

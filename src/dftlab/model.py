@@ -295,7 +295,8 @@ class Model:
         """Per-token log prob of each response token given its true prefix.
 
         Entry t is log softmax(logits at the position preceding response
-        token t), indexed at that token. All entries are <= 0.
+        token t), indexed at that token. All entries are <= 0. This is the
+        response slice of ``batch_token_log_probs`` on the one unpadded row.
         """
         prompt = list(prompt_ids)
         response = list(response_ids)
@@ -309,11 +310,9 @@ class Model:
                 f"prompt+response length {len(ids)} exceeds context_length "
                 f"{self.config.context_length}"
             )
-        logits = self.forward(ids[None, :-1])
-        flat = reshape(logits, (len(ids) - 1, self.config.vocab_size))
-        rows = embedding(flat, np.arange(len(prompt) - 1, len(ids) - 1))
-        probs = softmax(rows)
-        return log(gather(probs, np.array(response, dtype=np.int64)))
+        column = reshape(batch_token_log_probs(self, ids[None]), (len(ids) - 1, 1))
+        picked = embedding(column, np.arange(len(prompt) - 1, len(ids) - 1))
+        return reshape(picked, (len(response),))
 
     # --- sampling ---
 
@@ -333,6 +332,19 @@ class Model:
         return sample_batch(self, [list(prompt_ids)], max_new, temperature, [seed], greedy)[0]
 
 
+def inverse_cdf(probs: np.ndarray, u) -> np.ndarray:
+    """Inverse-CDF draw: per row, the number of cumulative probabilities <= u.
+
+    ``probs`` is (n, V) against ``u`` of shape (n,), or one distribution
+    (V,) broadcast against any ``u``. The result is clamped to V-1 for
+    the case where rounding leaves the last cumulative sum below ``u``,
+    so an id with zero probability is never drawn.
+    """
+    cdf = np.cumsum(probs, axis=-1)
+    u = np.asarray(u, dtype=np.float64)
+    return np.minimum((cdf <= u[..., None]).sum(axis=-1), probs.shape[-1] - 1)
+
+
 def sample_batch(
     model: Model,
     prompts: list,
@@ -349,15 +361,18 @@ def sample_batch(
     prompts, then forwards one new position per running row per step; a
     row that emits EOS leaves the batch and the cache. Unless greedy, each
     running row draws one ``random()`` from its own stream per step, in
-    row order.
+    row order, and the step's tokens come from one ``inverse_cdf`` call.
+    An empty prompt, or one of ``context_length`` tokens or more, is a
+    ValueError.
     """
     if len(prompts) != len(seeds):
         raise ValueError("prompts and seeds must align")
     if not greedy and temperature <= 0:
         raise ValueError("temperature must be > 0 (use greedy for the argmax limit)")
-    for prompt in prompts:
-        if len(prompt) == 0:
-            raise ValueError("empty prompt")
+    for i, prompt in enumerate(prompts):
+        if not 0 < len(prompt) < model.config.context_length:
+            raise ValueError(f"prompt {i} has {len(prompt)} tokens; sampling needs 1 "
+                             f"to context_length - 1 ({model.config.context_length - 1})")
 
     net = model.detached()
     results: list = [None] * len(prompts)
@@ -377,18 +392,8 @@ def sample_batch(
             if greedy:
                 tokens = np.argmax(logits, axis=-1)
             else:
-                z = logits / temperature
-                z -= z.max(axis=-1, keepdims=True)
-                e = np.exp(z)
-                probs = e / e.sum(axis=-1, keepdims=True)
-                cdf = np.cumsum(probs, axis=-1)
-                tokens = np.empty(len(live), dtype=np.int64)
-                for j, r in enumerate(live):
-                    u = rngs[r].random()
-                    tokens[j] = min(
-                        int(np.searchsorted(cdf[j], u, side="right")),
-                        model.config.vocab_size - 1,
-                    )
+                u = np.array([rngs[r].random() for r in live])
+                tokens = inverse_cdf(softmax(Tensor(logits / temperature)).data, u)
             for r, token in zip(live, tokens):
                 outs[r].append(int(token))
             running = tokens != EOS_ID
@@ -406,8 +411,9 @@ def sample_batch(
 def batch_token_log_probs(model: Model, ids: np.ndarray) -> Tensor:
     """Teacher-forced log prob of ids[:, 1:] given prefixes, shape (B, L-1).
 
-    Rows are padded sequences; the caller masks out pad and prompt
-    positions. Matches token_log_probs on each unpadded row.
+    The one teacher-forced path: ``Model.token_log_probs`` slices its
+    response positions out of this on a single row. Rows are padded
+    sequences; the caller masks out pad and prompt positions.
     """
     ids = np.asarray(ids, dtype=np.int64)
     logits = model.forward(ids[:, :-1])

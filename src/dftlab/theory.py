@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, backward, mul
-from .model import Model
+from .autodiff import Tensor, backward, mul, softmax
+from .model import Model, inverse_cdf
 from .seeding import derive_seed
 
 
@@ -120,14 +120,8 @@ def _sample_fixed_length(model: Model, prompt, horizon: int, n: int,
     net = model.detached()
     cur = np.tile(np.asarray(prompt, dtype=np.int64), (n, 1))
     for _ in range(horizon):
-        logits = net.forward(cur).data[:, -1, :]
-        z = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        cdf = np.cumsum(e / e.sum(axis=-1, keepdims=True), axis=-1)
-        u = rng.random(n)
-        tokens = np.minimum(
-            (u[:, None] > cdf).sum(axis=1), model.config.vocab_size - 1
-        )
+        probs = softmax(Tensor(net.forward(cur).data[:, -1, :])).data
+        tokens = inverse_cdf(probs, rng.random(n))
         cur = np.concatenate([cur, tokens[:, None]], axis=1)
     return cur[:, len(prompt):]
 
@@ -172,17 +166,14 @@ def variance_probe(model: Model, prompt, y_star: int, n_samples: int,
     y_star = int(y_star)
     net = model.detached()
     logits = net.forward(np.asarray(prompt, dtype=np.int64)[None, :]).data[0, -1]
-    z = logits - logits.max()
-    e = np.exp(z)
-    probs = e / e.sum()
+    probs = softmax(Tensor(logits)).data
     p_star = float(probs[y_star])
     _, g = grad_log_prob(model, prompt, [y_star])
     g_sq_mean = float(np.mean(g * g))
 
     def indicator_variance(stream_name):
         rng = np.random.default_rng(derive_seed(seed, "variance-probe", stream_name))
-        u = rng.random(n_samples)
-        draws = np.minimum((u[:, None] > np.cumsum(probs)).sum(axis=1), len(probs) - 1)
+        draws = inverse_cdf(probs, rng.random(n_samples))
         ind = (draws == y_star).astype(np.float64)
         return float(ind.var())
 

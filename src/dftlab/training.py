@@ -162,15 +162,20 @@ class AdamState:
 
 def adamw_step(params: dict, grads: dict, state: AdamState, lr: float,
                weight_decay: float) -> AdamState:
-    """One decoupled-weight-decay Adam update, in place, bias-corrected."""
+    """One decoupled-weight-decay Adam update, in place, bias-corrected.
+
+    Every gradient is checked before anything moves, so a non-finite one
+    leaves the parameters and ``state`` exactly as they were.
+    """
+    for name in params:
+        if not np.isfinite(grads[name]).all():
+            raise TrainingAborted(f"non-finite gradient for {name!r} at step {state.step + 1}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = grads[name]
-        if not np.isfinite(g).all():
-            raise TrainingAborted(f"non-finite gradient for {name!r} at step {t}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
@@ -293,12 +298,18 @@ def train_run(config: RunConfig, train_data,
     Starts from a fresh config-seeded model unless ``initial_model`` is
     given (copied, never mutated in place). eval_hooks are callables
     (step, model) -> dict, invoked every eval_every steps alongside a
-    checkpoint. A non-finite loss aborts the run with the last written
-    checkpoint left on disk.
+    checkpoint. A demonstration too long for the context is a ValueError
+    before anything is written. A non-finite loss aborts the run with the
+    last written checkpoint left on disk.
     """
     if not train_data:
         raise ValueError("train_data must be non-empty")
     items = encode_demonstrations(train_data)
+    ctx = config.model.context_length
+    for i, (ids, _) in enumerate(items):
+        if len(ids) - 1 > ctx:  # teacher forcing forwards all but the last token
+            raise ValueError(f"demonstration {i} has {len(ids)} tokens; at most "
+                             f"context_length + 1 ({ctx + 1}) fit")
     total = total_steps_for(config, len(items))
     warmup_steps_for(config, total)  # validates the warmup invariant
     if initial_model is not None:

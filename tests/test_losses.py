@@ -337,6 +337,28 @@ def test_diagnostics_w_times_p_is_one():
     assert np.max(np.abs(d.w * d.p - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["sft", "dft_token", "dft_sequence", "iw_sft"])
+def test_loss_gradient_is_minus_the_diagnosed_weight(kind):
+    rng = np.random.default_rng(15)
+    logp = Tensor(np.log(rng.uniform(0.05, 1.0, 7)), requires_grad=True)
+    ref = logp.data + rng.uniform(-1.0, 1.0, 7) if kind == "iw_sft" else None
+    spec = LossSpec(kind=kind, reduction="sum", iw_clip=1.2 if ref is not None else None)
+    backward(compute_loss(spec, logp, reference_log_probs=ref))
+    eff = diagnostics(logp, spec, reference_log_probs=ref).effective_weight
+    assert np.max(np.abs(logp.grad + eff)) <= 1e-15
+    if kind == "iw_sft":
+        assert 0 < eff.min() < eff.max() == 1.2  # the ratio is clipped somewhere
+
+
+def test_diagnostics_iw_sft_needs_reference_log_probs():
+    logp = np.log([0.2, 0.9])
+    d = diagnostics(logp, LossSpec(kind="iw_sft", iw_clip=2.0),
+                    reference_log_probs=np.log([0.4, 0.3]))
+    assert d.effective_weight == pytest.approx([0.5, 2.0], rel=1e-12)
+    with pytest.raises(ValueError, match="reference"):
+        diagnostics(logp, LossSpec(kind="iw_sft"))
+
+
 # --- spec plumbing ---
 
 

@@ -11,6 +11,7 @@ from dftlab.model import (
     Model,
     ModelConfig,
     expected_param_count,
+    inverse_cdf,
     load_checkpoint,
     sample_batch,
     save_checkpoint,
@@ -188,6 +189,43 @@ def test_sample_batch_grouping_matches_single(small_model):
         for p, s in zip(prompts, seeds)
     ]
     assert batched == singles
+
+
+def test_sample_batch_rejects_a_prompt_that_fills_the_context(small_model):
+    ctx = SMALL.context_length
+    for plen in (ctx, ctx + 2):
+        prompts = [[2, 3], [2] * plen]
+        with pytest.raises(ValueError, match=f"prompt 1 has {plen} tokens"):
+            sample_batch(small_model, prompts, 4, 1.0, [0, 1])
+    assert len(sample_batch(small_model, [[2] * (ctx - 1)], 4, 1.0, [0])[0]) == 1
+
+
+# --- inverse_cdf ---
+
+
+def test_inverse_cdf_below_the_first_step_is_id_zero():
+    probs = np.array([0.25, 0.5, 0.25])
+    assert inverse_cdf(probs, np.array([0.0, 0.2499])).tolist() == [0, 0]
+    assert inverse_cdf(probs, np.array([0.25, 0.75])).tolist() == [1, 2]
+
+
+def test_inverse_cdf_clamps_when_rounding_leaves_the_cdf_short():
+    probs = np.full(14, 1.0 / 14)
+    u = np.nextafter(1.0, 0.0)  # a value random() can return
+    assert np.cumsum(probs)[-1] < u  # 0.9999999999999997
+    assert inverse_cdf(probs, np.array([u])).tolist() == [13]
+    rows = np.stack([probs, probs])
+    assert inverse_cdf(rows, np.array([u, 0.05])).tolist() == [13, 0]
+
+
+def test_inverse_cdf_never_draws_a_zero_probability_id():
+    rng = np.random.default_rng(4)
+    probs = np.array([0.0, 0.3, 0.0, 0.0, 0.7, 0.0])
+    u = np.concatenate([rng.random(20_000), [0.0, 0.3, np.nextafter(1.0, 0.0)]])
+    draws = inverse_cdf(probs, u)
+    assert set(draws.tolist()) == {1, 4}
+    rows = np.tile(probs, (len(u), 1))
+    assert np.array_equal(inverse_cdf(rows, u), draws)
 
 
 # --- K/V cache ---

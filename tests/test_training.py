@@ -118,6 +118,25 @@ def test_adamw_rejects_non_finite_gradient():
         adamw_step({"p": p}, {"p": np.array([np.nan])}, AdamState(), 0.1, 0.0)
 
 
+def test_adamw_non_finite_gradient_moves_nothing():
+    rng = np.random.default_rng(3)
+    params = {n: Tensor(rng.standard_normal(4), requires_grad=True) for n in "abc"}
+    state = AdamState()
+    adamw_step(params, {n: rng.standard_normal(4) for n in "abc"}, state, 0.1, 0.01)
+    before = ({n: t.data.copy() for n, t in params.items()},
+              {n: a.copy() for n, a in state.m.items()},
+              {n: a.copy() for n, a in state.v.items()}, state.step)
+    grads = {n: rng.standard_normal(4) for n in "abc"}
+    grads["c"][2] = np.nan  # the last parameter, after every other has been seen
+    with pytest.raises(TrainingAborted, match="'c' at step 2"):
+        adamw_step(params, grads, state, 0.1, 0.01)
+    for n in "abc":
+        assert np.array_equal(params[n].data, before[0][n])
+        assert np.array_equal(state.m[n], before[1][n])
+        assert np.array_equal(state.v[n], before[2][n])
+    assert state.step == before[3]
+
+
 def test_clip_global_norm():
     grads = {"a": np.array([3.0, 4.0])}
     norm = clip_global_norm(grads, 1.0)
@@ -274,3 +293,16 @@ def test_run_config_round_trip():
 def test_train_rejects_empty_dataset():
     with pytest.raises(ValueError, match="non-empty"):
         train_run(run_config(), [])
+
+
+def test_train_rejects_an_overlong_demonstration_before_writing(tmp_path, reversal_data):
+    lengths = [len(ids) for ids, _ in encode_demonstrations(reversal_data)]
+    ctx = max(lengths) - 2
+    first = next(i for i, n in enumerate(lengths) if n - 1 > ctx)
+    model = ModelConfig(vocab_size=13, d_model=16, n_layers=1, n_heads=2,
+                        context_length=ctx, seed=5)
+    out = tmp_path / "run"
+    cfg = run_config(model=model, output_dir=str(out))
+    with pytest.raises(ValueError, match=f"demonstration {first} has {lengths[first]} tokens"):
+        train_run(cfg, reversal_data)
+    assert not out.exists()
