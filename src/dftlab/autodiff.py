@@ -12,6 +12,12 @@ Conventions
 * ``backward`` accumulates into ``Tensor.grad``. The caller resets grads
   explicitly (``zero_grad``) between uses; repeated backward calls without
   a reset add up.
+* Each tensor's gradient is summed once per pass. A leaf's ``.grad`` is an
+  owned, writable array (safe to scale in place, never shared with another
+  leaf). An interior tensor's ``.grad`` is the gradient that was propagated
+  through it, stored without a copy: it may share memory with other
+  interior grads or be a read-only broadcast view, so treat it as
+  read-only. No backward rule writes into the gradient it receives.
 * ``log`` clamps its input at ``LOG_FLOOR`` (1e-12) before taking the log,
   so probabilities touching zero produce a large-but-finite value instead
   of -inf. Inputs below the floor get zero gradient (the clamped branch is
@@ -318,8 +324,8 @@ def gather(x: Tensor, ids: np.ndarray) -> Tensor:
 def tensor_sum(x: Tensor, axis=None) -> Tensor:
     def bw(g):
         if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
+            return (np.broadcast_to(g, x.shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis), x.shape),)
 
     return _make(np.sum(x.data, axis=axis), "sum", (x,), bw)
 
@@ -329,8 +335,8 @@ def tensor_mean(x: Tensor, axis=None) -> Tensor:
 
     def bw(g):
         if axis is None:
-            return (np.broadcast_to(g / n, x.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / n, x.shape).copy(),)
+            return (np.broadcast_to(g / n, x.shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis) / n, x.shape),)
 
     return _make(np.mean(x.data, axis=axis), "mean", (x,), bw)
 
@@ -470,7 +476,7 @@ def stop_gradient(x: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor) -> ComputationRecord:
-    """Backpropagate from a scalar, accumulating into each requires_grad leaf.
+    """Backpropagate from a scalar, accumulating into each requires_grad tensor.
 
     Returns the ComputationRecord that was traversed. Grads add onto any
     existing ``.grad``; reset with ``zero_grad`` between independent passes.
@@ -478,29 +484,21 @@ def backward(loss: Tensor) -> ComputationRecord:
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     record = ComputationRecord.trace(loss)
-    flow: dict = {id(loss): np.ones_like(loss.data)}
-    if loss.requires_grad:
-        _accumulate(loss, flow[id(loss)])
+    # Tensor defines no __eq__, so it hashes by identity.
+    flow: dict = {loss: np.ones_like(loss.data)} if loss.requires_grad else {}
     for node in reversed(record.nodes):
-        g = flow.pop(id(node.output), None)
+        out = node.output
+        g = flow.pop(out, None)
         if g is None:
             continue
-        grads = node.backward(g)
-        for parent, pg in zip(node.inputs, grads):
+        out.grad = g if out.grad is None else out.grad + g
+        for parent, pg in zip(node.inputs, node.backward(g)):
             if pg is None or not parent.requires_grad:
                 continue
-            _accumulate(parent, pg)
-            if parent._node is not None:
-                key = id(parent)
-                if key in flow:
-                    flow[key] = flow[key] + pg
-                else:
-                    flow[key] = pg
+            flow[parent] = flow[parent] + pg if parent in flow else pg
+    for leaf, g in flow.items():
+        if leaf.grad is None:
+            leaf.grad = np.array(g, dtype=np.float64)
+        else:
+            leaf.grad += g
     return record
-
-
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
-    else:
-        t.grad += g

@@ -305,11 +305,6 @@ class Model:
         if not prompt:
             raise ValueError("empty prompt")
         ids = np.array(prompt + response, dtype=np.int64)
-        if len(ids) > self.config.context_length:
-            raise ValueError(
-                f"prompt+response length {len(ids)} exceeds context_length "
-                f"{self.config.context_length}"
-            )
         column = reshape(batch_token_log_probs(self, ids[None]), (len(ids) - 1, 1))
         picked = embedding(column, np.arange(len(prompt) - 1, len(ids) - 1))
         return reshape(picked, (len(response),))

@@ -7,15 +7,16 @@ dynamic loss it is the offline-reward variant.
 
 Per-prompt sampling streams are derived from (seed, prompt index, draw
 index), so the retained set does not depend on batching or evaluation
-order. A sampled completion that never emits EOS counts as unverified:
-response token lists must terminate.
+order. A sampled completion that never emits EOS, or that holds PAD,
+counts as unverified: response token lists must terminate and
+detokenize.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import EOS_ID, Model, sample_batch
+from .model import EOS_ID, PAD_ID, Model, sample_batch
 from .seeding import derive_seed
 from .tasks import Demonstration, vocabulary_for
 from .training import RunConfig, train_run
@@ -105,8 +106,8 @@ def sample_and_filter(model: Model, prompts, verify_fn,
     for idx, completion in enumerate(completions):
         i = idx // n
         item = prompts[i]
-        if EOS_ID not in completion:
-            continue  # unterminated: never a valid response
+        if EOS_ID not in completion or PAD_ID in completion:
+            continue  # unterminated or padded: never a valid response
         if not verify_fn(item.task, item.prompt_ids, completion):
             continue
         n_verified += 1

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, backward, mul, softmax
-from .model import Model, inverse_cdf
+from .losses import dft_token_loss, sft_loss
+from .model import Model, ModelConfig, inverse_cdf
 from .seeding import derive_seed
 
 
@@ -59,14 +60,19 @@ class EstimatorSample:
     weighted_grad: np.ndarray
 
 
-def grad_log_prob(model: Model, prompt, sequence) -> tuple:
-    """(log pi(y|x), flat gradient of log pi(y|x)) for one sequence."""
+def _flat_grad(model: Model, scalar: Tensor) -> np.ndarray:
+    """Flat gradient of ``scalar``; the model's grads are reset around it."""
     model.zero_grad()
-    logp = model.token_log_probs(prompt, list(sequence)).sum()
-    backward(logp)
+    backward(scalar)
     g = model.flat_grad()
     model.zero_grad()
-    return float(logp.data), g
+    return g
+
+
+def grad_log_prob(model: Model, prompt, sequence) -> tuple:
+    """(log pi(y|x), flat gradient of log pi(y|x)) for one sequence."""
+    logp = model.token_log_probs(prompt, list(sequence)).sum()
+    return float(logp.data), _flat_grad(model, logp)
 
 
 def iter_estimator_samples(model: Model, prompt, y_star, budget: EnumerationBudget):
@@ -221,20 +227,16 @@ def implicit_reward_scan(model: Model, dataset) -> dict:
 
 def sft_autodiff_grad(model: Model, prompt, response, reduction: str = "sum") -> np.ndarray:
     """Autodiff route for the cross-entropy gradient (identity check target)."""
-    from .losses import sft_loss
-
-    model.zero_grad()
-    backward(sft_loss(model.token_log_probs(prompt, response), reduction=reduction))
-    g = model.flat_grad()
-    model.zero_grad()
-    return g
+    logp = model.token_log_probs(prompt, response)
+    return _flat_grad(model, sft_loss(logp, reduction=reduction))
 
 
 def dft_token_reference_grad(model: Model, prompt, response,
                              reduction: str = "mean") -> np.ndarray:
     """Second route for the token-scaled gradient contract.
 
-    Differentiates each token's -log p separately and scales that whole
+    Differentiates each token's -log p separately, by backpropagating one
+    pick at a time through the one log-prob graph, and scales that whole
     gradient by the token's probability, never touching stop-gradient.
     """
     logp = model.token_log_probs(prompt, response)
@@ -244,10 +246,7 @@ def dft_token_reference_grad(model: Model, prompt, response,
     for t in range(n):
         picker = np.zeros(n)
         picker[t] = -1.0
-        model.zero_grad()
-        backward(mul(model.token_log_probs(prompt, response), Tensor(picker)).sum())
-        total += probs[t] * model.flat_grad()
-    model.zero_grad()
+        total += probs[t] * _flat_grad(model, mul(logp, Tensor(picker)).sum())
     return total / n if reduction == "mean" else total
 
 
@@ -255,8 +254,6 @@ def dft_token_reference_grad(model: Model, prompt, response,
 
 
 def _tiny_model(vocab: int, seed: int) -> Model:
-    from .model import ModelConfig
-
     return Model(ModelConfig(vocab_size=vocab, d_model=8, n_layers=1,
                              n_heads=2, context_length=12, seed=seed))
 
@@ -295,17 +292,13 @@ def _check_score_zero_mean(seed: int) -> dict:
 
 
 def _check_gradient_identity(seed: int, trials: int = 20) -> dict:
-    from .losses import dft_token_loss
-
     rng = np.random.default_rng(derive_seed(seed, "verify", "eq7"))
     worst = 0.0
     for trial in range(trials):
         model = _tiny_model(6, seed=derive_seed(seed, "verify", "eq7", trial))
         prompt = [int(t) for t in rng.integers(0, 6, size=2)]
         response = [int(t) for t in rng.integers(0, 6, size=3)]
-        model.zero_grad()
-        backward(dft_token_loss(model.token_log_probs(prompt, response)))
-        got = model.flat_grad()
+        got = _flat_grad(model, dft_token_loss(model.token_log_probs(prompt, response)))
         ref = dft_token_reference_grad(model, prompt, response)
         scale = max(float(np.max(np.abs(ref))), 1e-12)
         worst = max(worst, float(np.max(np.abs(got - ref))) / scale)

@@ -298,15 +298,17 @@ def train_run(config: RunConfig, train_data,
     Starts from a fresh config-seeded model unless ``initial_model`` is
     given (copied, never mutated in place). eval_hooks are callables
     (step, model) -> dict, invoked every eval_every steps alongside a
-    checkpoint. A demonstration too long for the context is a ValueError
-    before anything is written. A non-finite loss aborts the run with the
-    last written checkpoint left on disk.
+    checkpoint. A demonstration with an empty prompt, or too long for the
+    context, is a ValueError before anything is written. A non-finite loss
+    aborts the run with the last written checkpoint left on disk.
     """
     if not train_data:
         raise ValueError("train_data must be non-empty")
     items = encode_demonstrations(train_data)
     ctx = config.model.context_length
-    for i, (ids, _) in enumerate(items):
+    for i, (ids, plen) in enumerate(items):
+        if plen == 0:  # collate masks from position plen - 1
+            raise ValueError(f"demonstration {i} has an empty prompt")
         if len(ids) - 1 > ctx:  # teacher forcing forwards all but the last token
             raise ValueError(f"demonstration {i} has {len(ids)} tokens; at most "
                              f"context_length + 1 ({ctx + 1}) fit")
