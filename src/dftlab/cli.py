@@ -4,8 +4,11 @@ Every subcommand reads one JSON config file, applies ``--set key=value``
 overrides (dotted keys, values parsed as JSON when possible), echoes the
 effective config into the output directory before doing any work, and
 exits 0 on success, 1 on a validation problem (unusable config, unknown
-flags), or 2 on a runtime failure (non-finite loss, empty rejection
-sampling yield).
+config key or flag, unreadable input file), or 2 on a runtime failure
+(non-finite loss, empty rejection sampling yield).
+
+``train``, ``sweep`` and ``figures`` read every file the config names
+and build every run's config before the first run trains.
 
 Run ``dftlab <subcommand> --help`` for per-command flags; config schemas
 are documented in the README.
@@ -17,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 from .evalreport import (
     comparison_report,
@@ -30,7 +34,8 @@ from .rft import RftConfig, sample_and_filter
 from .seeding import derive_seed
 from .tasks import TaskSpec, generate_dataset, load_jsonl, save_jsonl, verify
 from .theory import implicit_reward_scan, run_verification
-from .training import RunConfig, TrainingAborted, train_run, write_manifest
+from .training import (RunConfig, TrainingAborted, total_steps_for, train_run,
+                       warmup_steps_for, write_manifest)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -86,26 +91,95 @@ def _load_config(path: str, assignments) -> dict:
     return apply_overrides(config, assignments)
 
 
-def _prepare_dir(config: dict, out_override) -> str:
+def _prepare_dir(config: dict, out_override, required: bool):
     out = out_override or config.get("output_dir")
     if not out:
+        if not required:
+            return None
         raise CliError("no output directory (set output_dir or pass --out)")
     config["output_dir"] = out
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "effective_config.json"), "w") as f:
-        json.dump(config, f, indent=1, sort_keys=True)
+    _write_json(os.path.join(out, "effective_config.json"), config, sort_keys=True)
     return out
 
 
-def _eval_hook(eval_set, k, temperature, seed, cap):
-    subset = eval_set[:cap] if cap else eval_set
+def _write_json(path: str, payload, **kwargs) -> None:
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=1, **kwargs)
 
-    def hook(step, model):
-        result = evaluate(model, subset, k=k, temperature=temperature,
-                          seed=derive_seed(seed, "curve", step))
+
+def _write_eval(out: str, split: str, model, demos, **kwargs):
+    """Evaluate avg@k on one split and write ``eval_{split}.json`` into ``out``."""
+    if split not in ("in", "ood"):
+        raise CliError(f"split must be 'in' or 'ood', got {split!r}")
+    result = evaluate(model, demos, split="in-dist" if split == "in" else "ood", **kwargs)
+    path = os.path.join(out, f"eval_{split}.json")
+    _write_json(path, result.to_dict())
+    return result, path
+
+
+def _write_comparison(out: str, prefix: str, run_dirs) -> dict:
+    report = comparison_report(run_dirs)
+    write_comparison(report, os.path.join(out, f"{prefix}comparison.csv"),
+                     os.path.join(out, f"{prefix}comparison.json"))
+    return report
+
+
+# --- planned training runs (train, sweep, figures) ---
+
+
+@dataclass
+class _Plan:
+    data: list
+    curve_set: list  # prompts for the learning-curve hook; empty for none
+    final_sets: dict  # split -> prompts evaluated once a run ends
+    sampling: dict  # k and temperature of every eval
+    runs: list  # RunConfig per run, in run order
+
+
+def _plan(config: dict, runs, curve_from=None, splits=("in", "ood")) -> _Plan:
+    """Read every file the config names and build every run's config.
+
+    ``runs`` lists (run directory, changes to ``config["run"]``) pairs.
+    A missing or empty file, an unknown key or a bad run value fails
+    here, before the first run trains.
+    """
+    cap = int(config.get("eval_prompt_cap", 0))
+    sets = {}
+    for key in dict.fromkeys([curve_from] + [f"eval_{s}" for s in splits]):  # no file read twice
+        if key and config.get(key):
+            sets[key] = load_jsonl(config[key])[: cap or None]
+            if not sets[key]:
+                raise CliError(f"{key} {config[key]!r} holds no items")
+    data = load_jsonl(config["train_data"])
+    planned = [RunConfig.from_dict(dict(config["run"], **changes, output_dir=run_dir))
+               for run_dir, changes in runs]
+    for run in planned:  # the warmup must fit each run's own step count
+        warmup_steps_for(run, total_steps_for(run, len(data)))
+    return _Plan(
+        data=data,
+        curve_set=sets.get(curve_from, []),
+        final_sets={s: sets[f"eval_{s}"] for s in splits if f"eval_{s}" in sets},
+        sampling={"k": int(config.get("eval_k", 4)),
+                  "temperature": float(config.get("eval_temperature", 1.0))},
+        runs=planned,
+    )
+
+
+def _execute(plan: _Plan, run: RunConfig):
+    """Train one planned run, then write its final evals and manifest."""
+    def curve(step, model):
+        result = evaluate(model, plan.curve_set, **plan.sampling,
+                          seed=derive_seed(run.seed, "curve", step))
         return {"in_dist_acc": result.avg_at_k}
 
-    return hook
+    hooks = [curve] if plan.curve_set and run.eval_every > 0 else []
+    model, _ = train_run(run, plan.data, eval_hooks=hooks)
+    for split, demos in plan.final_sets.items():
+        _write_eval(run.output_dir, split, model, demos, **plan.sampling,
+                    seed=derive_seed(run.seed, "final-eval", split))
+    write_manifest(run.output_dir)
+    return model
 
 
 # --- subcommands ---
@@ -128,21 +202,8 @@ def cmd_gen_data(config: dict, out: str) -> int:
 
 
 def cmd_train(config: dict, out: str) -> int:
-    run_dict = dict(config["run"])
-    run_dict["output_dir"] = out
-    run = RunConfig.from_dict(run_dict)
-    data = load_jsonl(config["train_data"])
-    hooks = []
-    if config.get("eval_data") and run.eval_every > 0:
-        hooks.append(_eval_hook(
-            load_jsonl(config["eval_data"]),
-            int(config.get("eval_k", 4)),
-            float(config.get("eval_temperature", 1.0)),
-            run.seed,
-            int(config.get("eval_prompt_cap", 0)),
-        ))
-    train_run(run, data, eval_hooks=hooks)
-    write_manifest(out)
+    plan = _plan(config, [(out, {})], curve_from="eval_data", splits=())
+    _execute(plan, plan.runs[0])
     print(f"training complete: {out}")
     return EXIT_OK
 
@@ -151,19 +212,13 @@ def cmd_eval(config: dict, out: str) -> int:
     model = load_checkpoint(config["checkpoint"])
     data = load_jsonl(config["eval_data"])
     split = config.get("split", "in")
-    if split not in ("in", "ood"):
-        raise CliError(f"split must be 'in' or 'ood', got {split!r}")
-    result = evaluate(
-        model, data,
+    result, path = _write_eval(
+        out, split, model, data,
         k=int(config.get("k", 16)),
         temperature=float(config.get("temperature", 1.0)),
         seed=int(config.get("seed", 0)),
-        split="in-dist" if split == "in" else "ood",
         greedy=bool(config.get("greedy", False)),
     )
-    path = os.path.join(out, f"eval_{split}.json")
-    with open(path, "w") as f:
-        json.dump(result.to_dict(), f, indent=1)
     write_manifest(out)
     print(f"avg@{result.k} = {result.avg_at_k:.4f} ({split}) -> {path}")
     return EXIT_OK
@@ -175,8 +230,7 @@ def cmd_rft_sample(config: dict, out: str) -> int:
     rft = RftConfig.from_dict(config.get("rft", {}))
     retained, stats = sample_and_filter(model, prompts, verify, rft)
     save_jsonl(retained, os.path.join(out, "filtered.jsonl"))
-    with open(os.path.join(out, "rft_stats.json"), "w") as f:
-        json.dump(stats.to_dict(), f, indent=1)
+    _write_json(os.path.join(out, "rft_stats.json"), stats.to_dict())
     write_manifest(out)
     print(f"kept {stats.n_retained} of {stats.n_samples} samples "
           f"(keep rate {stats.keep_rate:.3f})")
@@ -198,8 +252,7 @@ def cmd_verify(config: dict, out) -> int:
     for r in results:
         print(f"{'PASS' if r['passed'] else 'FAIL'}  {r['name']}: {r['detail']}")
     if out:
-        with open(os.path.join(out, "verify_report.json"), "w") as f:
-            json.dump(results, f, indent=1)
+        _write_json(os.path.join(out, "verify_report.json"), results)
         write_manifest(out)
     return EXIT_OK if all(r["passed"] for r in results) else EXIT_RUNTIME
 
@@ -210,82 +263,32 @@ def cmd_analyze(config: dict, out: str) -> int:
     tag = config.get("model_tag", os.path.basename(config["checkpoint"]))
     hist = token_histogram(model, data, bin_edges=config.get("bin_edges"),
                            model_tag=tag)
-    with open(os.path.join(out, "histogram.json"), "w") as f:
-        json.dump(hist.to_dict(), f, indent=1)
+    _write_json(os.path.join(out, "histogram.json"), hist.to_dict())
     ranked = lowest_bin_tokens(model, data, float(config.get("threshold", 0.05)))
-    with open(os.path.join(out, "lowest_bin_tokens.json"), "w") as f:
-        json.dump([{"token": t, "count": c} for t, c in ranked], f, indent=1)
-    scan = implicit_reward_scan(model, data)
-    with open(os.path.join(out, "implicit_weights.json"), "w") as f:
-        json.dump(scan, f, indent=1)
+    _write_json(os.path.join(out, "lowest_bin_tokens.json"),
+                [{"token": t, "count": c} for t, c in ranked])
+    _write_json(os.path.join(out, "implicit_weights.json"),
+                implicit_reward_scan(model, data))
     write_manifest(out)
     print(f"analyzed {hist.total} tokens -> {out}")
     return EXIT_OK
 
 
 def cmd_report(config: dict, out: str) -> int:
-    report = comparison_report(config.get("run_dirs", []))
-    write_comparison(report, os.path.join(out, "comparison.csv"),
-                     os.path.join(out, "comparison.json"))
+    report = _write_comparison(out, "", config.get("run_dirs", []))
     write_manifest(out)
     print(f"{len(report['rows'])} runs reported, "
           f"{len(report['errors'])} errors -> {out}")
     return EXIT_OK
 
 
-def _train_and_eval(run_dict: dict, data, eval_in, eval_ood, eval_cfg,
-                    run_dir: str, hooks=()):
-    run_dict = dict(run_dict)
-    run_dict["output_dir"] = run_dir
-    run = RunConfig.from_dict(run_dict)
-    model, metrics = train_run(run, data, eval_hooks=hooks)
-    for split, demos in (("in", eval_in), ("ood", eval_ood)):
-        if not demos:
-            continue
-        result = evaluate(
-            model, demos,
-            k=eval_cfg["k"], temperature=eval_cfg["temperature"],
-            seed=derive_seed(run.seed, "final-eval", split),
-            split="in-dist" if split == "in" else "ood",
-        )
-        with open(os.path.join(run_dir, f"eval_{split}.json"), "w") as f:
-            json.dump(result.to_dict(), f, indent=1)
-    write_manifest(run_dir)
-    return model, metrics
-
-
-def _eval_cfg(config: dict) -> dict:
-    return {
-        "k": int(config.get("eval_k", 4)),
-        "temperature": float(config.get("eval_temperature", 1.0)),
-        "cap": int(config.get("eval_prompt_cap", 0)),
-    }
-
-
-def _load_splits(config: dict):
-    data = load_jsonl(config["train_data"])
-    eval_in = load_jsonl(config["eval_in"]) if config.get("eval_in") else []
-    eval_ood = load_jsonl(config["eval_ood"]) if config.get("eval_ood") else []
-    cfg = _eval_cfg(config)
-    if cfg["cap"]:
-        eval_in = eval_in[: cfg["cap"]]
-        eval_ood = eval_ood[: cfg["cap"]]
-    return data, eval_in, eval_ood, cfg
-
-
 def cmd_sweep(config: dict, out: str) -> int:
-    data, eval_in, eval_ood, eval_cfg = _load_splits(config)
     rates = config.get("learning_rates", list(SWEEP_LEARNING_RATES))
-    run_dirs = []
-    for lr in rates:
-        run_dict = dict(config["run"])
-        run_dict["learning_rate"] = float(lr)
-        run_dir = os.path.join(out, f"lr{lr:g}")
-        _train_and_eval(run_dict, data, eval_in, eval_ood, eval_cfg, run_dir)
-        run_dirs.append(run_dir)
-    report = comparison_report(run_dirs)
-    write_comparison(report, os.path.join(out, "comparison.csv"),
-                     os.path.join(out, "comparison.json"))
+    plan = _plan(config, [(os.path.join(out, f"lr{lr:g}"), {"learning_rate": float(lr)})
+                          for lr in rates])
+    for run in plan.runs:
+        _execute(plan, run)
+    _write_comparison(out, "", [run.output_dir for run in plan.runs])
     write_manifest(out)
     print(f"swept {len(rates)} learning rates -> {out}")
     return EXIT_OK
@@ -300,72 +303,41 @@ def reproduce_figures(config: dict) -> dict:
     batch-size sweep tables. Returns the run directories produced.
     """
     out = config["output_dir"]
-    data, eval_in, eval_ood, eval_cfg = _load_splits(config)
     kinds = ("sft", "dft_token")
-    run_dirs = []
-
     # convergence curves and final histograms under identical configs
-    for kind in kinds:
-        run_dict = dict(config["run"])
-        run_dict["loss"] = {"kind": kind}
-        run_dir = os.path.join(out, f"fig1_{kind}")
-        hooks = []
-        if eval_in and run_dict.get("eval_every", 0) > 0:
-            hooks.append(_eval_hook(
-                eval_in, eval_cfg["k"], eval_cfg["temperature"],
-                int(run_dict.get("seed", 0)), eval_cfg["cap"],
-            ))
-        model, _ = _train_and_eval(run_dict, data, eval_in, eval_ood,
-                                   eval_cfg, run_dir, hooks=hooks)
-        run_dirs.append(run_dir)
-
-        curve_path = os.path.join(out, f"learning_curve_{kind}.csv")
-        with open(curve_path, "w") as f:
-            f.write("step,in_dist_acc\n")
-            evals_path = os.path.join(run_dir, "evals.jsonl")
-            if os.path.exists(evals_path):
-                for line in open(evals_path):
-                    row = json.loads(line)
-                    f.write(f"{row['step']},{row['in_dist_acc']!r}\n")
-
-        hist = token_histogram(model, data, model_tag=kind)
-        with open(os.path.join(out, f"histogram_{kind}.json"), "w") as f:
-            json.dump(hist.to_dict(), f, indent=1)
-
+    runs = [(os.path.join(out, f"fig1_{kind}"), {"loss": {"kind": kind}}) for kind in kinds]
     # short sweeps over learning rate and batch size, both objectives
-    sweep_steps = config.get("sweep_max_steps")
-    for axis, values in (
-        ("lr", config.get("sweep_learning_rates", list(SWEEP_LEARNING_RATES))),
-        ("batch", config.get("sweep_batch_sizes", [])),
+    short = {"eval_every": 0}
+    if config.get("sweep_max_steps") is not None:
+        short.update(max_steps=int(config["sweep_max_steps"]), epochs=None)
+    axes = {}
+    for axis, key, cast, values in (
+        ("lr", "learning_rate", float,
+         config.get("sweep_learning_rates", list(SWEEP_LEARNING_RATES))),
+        ("batch", "batch_size", int, config.get("sweep_batch_sizes", [])),
     ):
-        if not values:
-            continue
-        axis_dirs = []
-        for value in values:
+        for value in values or ():
             for kind in kinds:
-                run_dict = dict(config["run"])
-                run_dict["loss"] = {"kind": kind}
-                run_dict["eval_every"] = 0
-                if sweep_steps is not None:
-                    run_dict["max_steps"] = int(sweep_steps)
-                    run_dict["epochs"] = None
-                if axis == "lr":
-                    run_dict["learning_rate"] = float(value)
-                else:
-                    run_dict["batch_size"] = int(value)
                 run_dir = os.path.join(out, f"fig3_{axis}{value:g}_{kind}")
-                _train_and_eval(run_dict, data, eval_in, eval_ood, eval_cfg, run_dir)
-                axis_dirs.append(run_dir)
-        report = comparison_report(axis_dirs)
-        write_comparison(
-            report,
-            os.path.join(out, f"fig3_{axis}_comparison.csv"),
-            os.path.join(out, f"fig3_{axis}_comparison.json"),
-        )
-        run_dirs.extend(axis_dirs)
+                runs.append((run_dir, {"loss": {"kind": kind}, key: cast(value), **short}))
+                axes.setdefault(axis, []).append(run_dir)
+    plan = _plan(config, runs, curve_from="eval_in")
 
+    for i, run in enumerate(plan.runs):
+        model = _execute(plan, run)
+        if i < len(kinds):  # a fig1 arm: its learning curve and histogram
+            kind = kinds[i]
+            with open(os.path.join(out, f"learning_curve_{kind}.csv"), "w") as f, \
+                    open(os.path.join(run.output_dir, "evals.jsonl")) as evals:
+                f.write("step,in_dist_acc\n")
+                for row in map(json.loads, evals):
+                    f.write(f"{row['step']},{row['in_dist_acc']!r}\n")
+            hist = token_histogram(model, plan.data, model_tag=kind)
+            _write_json(os.path.join(out, f"histogram_{kind}.json"), hist.to_dict())
+    for axis, axis_dirs in axes.items():
+        _write_comparison(out, f"fig3_{axis}_", axis_dirs)
     write_manifest(out)
-    return {"run_dirs": run_dirs}
+    return {"run_dirs": [run.output_dir for run in plan.runs]}
 
 
 def cmd_figures(config: dict, out: str) -> int:
@@ -385,9 +357,6 @@ _HANDLERS = {
     "sweep": cmd_sweep,
     "figures": cmd_figures,
 }
-
-_NEEDS_DIR = {name for name in _HANDLERS if name != "verify"}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dftlab", description=__doc__,
@@ -410,12 +379,7 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         config = _load_config(args.config, args.set)
-        if args.subcommand in _NEEDS_DIR:
-            out = _prepare_dir(config, args.out)
-        else:
-            out = args.out or config.get("output_dir")
-            if out:
-                out = _prepare_dir(config, args.out)
+        out = _prepare_dir(config, args.out, required=args.subcommand != "verify")
         return _HANDLERS[args.subcommand](config, out)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -144,8 +144,12 @@ class ProbHistogram:
                    total=d["total"], model_tag=d["model_tag"])
 
 
-def _teacher_forced_probs(model: Model, dataset, batch_size: int = 64):
-    """Yield (probability, token id) for every response token."""
+def teacher_forced_probs(model: Model, dataset, batch_size: int = 64):
+    """Yield (probabilities, token ids) of the response tokens, batch by batch.
+
+    The one teacher-forced read-out behind the histograms and
+    ``theory.implicit_reward_scan``.
+    """
     net = model.detached()
     items = encode_demonstrations(dataset)
     for lo in range(0, len(items), batch_size):
@@ -164,7 +168,7 @@ def token_histogram(model: Model, dataset, bin_edges=None,
     )
     counts = np.zeros(len(edges) - 1, dtype=np.int64)
     total = 0
-    for probs, _ in _teacher_forced_probs(model, dataset):
+    for probs, _ in teacher_forced_probs(model, dataset):
         hist, _ = np.histogram(probs, bins=edges)
         counts += hist
         total += probs.size
@@ -182,7 +186,7 @@ def lowest_bin_tokens(model: Model, dataset, threshold: float) -> list:
         raise ValueError("dataset must be non-empty")
     vocab = vocabulary_for(dataset[0].task)
     counts: dict = {}
-    for probs, token_ids in _teacher_forced_probs(model, dataset):
+    for probs, token_ids in teacher_forced_probs(model, dataset):
         for tok in token_ids[probs < threshold]:
             ch = vocab.detokenize([int(tok)])
             counts[ch] = counts.get(ch, 0) + 1

@@ -34,6 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import LOG_FLOOR, Tensor, exp, mul, scale, stop_gradient, tensor_sum
+from .model import check_fields
 
 KINDS = ("sft", "dft_token", "dft_sequence", "focal", "iw_sft")
 REDUCTIONS = ("mean", "sum")
@@ -81,12 +82,7 @@ class LossSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LossSpec":
-        return cls(
-            kind=d.get("kind", "sft"),
-            gamma=d.get("gamma"),
-            reduction=d.get("reduction", "mean"),
-            iw_clip=d.get("iw_clip"),
-        )
+        return cls(**check_fields(cls, d))
 
 
 @dataclass

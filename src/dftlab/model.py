@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -71,6 +71,20 @@ EOS_ID = 1
 
 _CKPT_MAGIC = b"DFTCKPT1"
 _MASK_FILL_VALUE = -1e30  # finite stand-in for -inf; softmax maps it to exactly 0
+
+
+def check_fields(cls, d) -> dict:
+    """Return ``d`` once it is a dict whose every key is a field of ``cls``.
+
+    Every config ``from_dict`` calls this, so a misspelt key is a
+    ValueError naming it instead of a TypeError or a silent default.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{cls.__name__} needs a JSON object, got {d!r}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{cls.__name__} has no field {', '.join(map(repr, unknown))}")
+    return d
 
 
 @dataclass
@@ -98,7 +112,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        return cls(**check_fields(cls, d))
 
 
 def expected_param_count(config: ModelConfig) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import EOS_ID, PAD_ID, Model, sample_batch
+from .model import EOS_ID, PAD_ID, Model, check_fields, sample_batch
 from .seeding import derive_seed
 from .tasks import Demonstration, vocabulary_for
 from .training import RunConfig, train_run
@@ -51,7 +51,7 @@ class RftConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RftConfig":
-        return cls(**d)
+        return cls(**check_fields(cls, d))
 
 
 @dataclass

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EOS_ID, PAD_ID
+from .model import EOS_ID, PAD_ID, check_fields
 from .seeding import derive_seed
 
 EOS_CHAR = "$"
@@ -141,6 +141,7 @@ class TaskSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TaskSpec":
+        check_fields(cls, d)
         return cls(
             task_kind=d["task_kind"],
             train_difficulty_range=tuple(d["train_difficulty_range"]),

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, backward, mul, softmax
+from .evalreport import teacher_forced_probs
 from .losses import dft_token_loss, sft_loss
 from .model import Model, ModelConfig, inverse_cdf
 from .seeding import derive_seed
@@ -205,13 +206,8 @@ def implicit_reward_scan(model: Model, dataset) -> dict:
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
-    net = model.detached()
-    weights = []
-    for item in dataset:
-        logp = net.token_log_probs(item.prompt_ids, item.response_ids).data
-        p = np.maximum(np.exp(logp), 1e-12)
-        weights.append(1.0 / p)
-    w = np.concatenate(weights)
+    w = np.concatenate([1.0 / np.maximum(p, 1e-12)
+                        for p, _ in teacher_forced_probs(model, dataset)])
     return {
         "n_tokens": int(w.size),
         "quantiles": {

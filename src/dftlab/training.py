@@ -31,7 +31,8 @@ import numpy as np
 
 from .autodiff import backward
 from .losses import LossSpec, compute_loss
-from .model import Model, ModelConfig, PAD_ID, batch_token_log_probs, save_checkpoint
+from .model import (Model, ModelConfig, PAD_ID, batch_token_log_probs, check_fields,
+                    save_checkpoint)
 from .seeding import derive_seed
 
 
@@ -92,7 +93,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
+        d = dict(check_fields(cls, d))
         d["model"] = ModelConfig.from_dict(d["model"])
         d["loss"] = LossSpec.from_dict(d.get("loss", {}))
         return cls(**d)
@@ -204,11 +205,17 @@ def clip_global_norm(grads: dict, max_norm: float) -> float:
 
 
 def encode_demonstrations(demos) -> list:
-    """Pre-tokenize to (ids array, prompt length) pairs."""
+    """Pre-tokenize to (ids array, prompt length) pairs.
+
+    An empty prompt is a ValueError naming the item: ``collate`` masks
+    from position ``plen - 1``, so it would miscount the response.
+    """
     out = []
-    for d in demos:
-        ids = np.array(d.prompt_ids + d.response_ids, dtype=np.int64)
-        out.append((ids, len(d.prompt_ids)))
+    for i, d in enumerate(demos):
+        prompt = d.prompt_ids
+        if not prompt:
+            raise ValueError(f"demonstration {i} has an empty prompt")
+        out.append((np.array(prompt + d.response_ids, dtype=np.int64), len(prompt)))
     return out
 
 
@@ -306,9 +313,7 @@ def train_run(config: RunConfig, train_data,
         raise ValueError("train_data must be non-empty")
     items = encode_demonstrations(train_data)
     ctx = config.model.context_length
-    for i, (ids, plen) in enumerate(items):
-        if plen == 0:  # collate masks from position plen - 1
-            raise ValueError(f"demonstration {i} has an empty prompt")
+    for i, (ids, _) in enumerate(items):
         if len(ids) - 1 > ctx:  # teacher forcing forwards all but the last token
             raise ValueError(f"demonstration {i} has {len(ids)} tokens; at most "
                              f"context_length + 1 ({ctx + 1}) fit")

@@ -331,3 +331,58 @@ def test_console_script_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "subcommand" in proc.stdout or "usage" in proc.stdout
+
+
+# --- planning: bad inputs fail before any run trains ---
+
+
+@pytest.mark.parametrize("subcommand,changes,never_written", [
+    ("figures", {"sweep_batch_sizes": [0]}, "fig1_sft"),
+    ("sweep", {"learning_rates": [1e-3, -1]}, "lr0.001"),
+    ("train", {"eval_data": "missing.jsonl"}, "ckpt_step0.bin"),
+    ("figures", {"eval_ood": "empty.jsonl"}, "fig1_sft"),
+], ids=["figures-batch-0", "sweep-negative-lr", "train-missing-eval-data",
+        "figures-empty-eval-file"])
+def test_bad_run_value_or_file_fails_before_training(tmp_path, workspace, capsys,
+                                                      subcommand, changes, never_written):
+    _, data_dir = workspace
+    (tmp_path / "empty.jsonl").write_text("")
+    out = tmp_path / "out"
+    config = {
+        "run": MICRO_RUN,
+        "train_data": str(data_dir / "train.jsonl"),
+        "eval_in": str(data_dir / "eval_in.jsonl"),
+        "eval_k": 1, "sweep_learning_rates": [1e-3], "output_dir": str(out),
+    }
+    for key, value in changes.items():
+        config[key] = str(tmp_path / value) if key.startswith("eval_") else value
+    assert dispatch([subcommand, "--config", write_config(tmp_path / "c.json", config)]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not (out / never_written).exists()
+    assert not (out / "ckpt_final.bin").exists()
+
+
+@pytest.mark.parametrize("subcommand,typo", [
+    ("train", "run.learnig_rate=1e-3"),
+    ("train", "run.model.d_modle=16"),
+    ("train", "run.loss.reductoin=sum"),
+    ("gen-data", "task.sed=2"),
+    ("rft-sample", "rft.n_respones_per_prompt=2"),
+], ids=["RunConfig", "ModelConfig", "LossSpec", "TaskSpec", "RftConfig"])
+def test_unknown_config_key_exits_one_naming_it(tmp_path, workspace, warm_checkpoint,
+                                                capsys, subcommand, typo):
+    _, data_dir = workspace
+    ckpt, prompts = warm_checkpoint
+    cfg = write_config(tmp_path / "c.json", {
+        "run": MICRO_RUN, "train_data": str(data_dir / "train.jsonl"),
+        "task": {"task_kind": "sequence-reversal", "train_difficulty_range": [3, 4],
+                 "ood_difficulty_range": [9, 10]},
+        "n_train": 4, "n_eval_in": 1, "n_eval_ood": 1,
+        "checkpoint": ckpt, "prompts_data": prompts, "rft": {"seed": 4},
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert dispatch([subcommand, "--config", cfg, "--set", typo]) == 1
+    key = typo.split("=")[0].rsplit(".", 1)[1]
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out" / "ckpt_step0.bin").exists()
+    assert not (tmp_path / "out" / "train.jsonl").exists()

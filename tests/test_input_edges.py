@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dftlab import rft
+from dftlab.evalreport import lowest_bin_tokens, token_histogram
 from dftlab.losses import LossSpec
 from dftlab.model import EOS_ID, PAD_ID, Model, ModelConfig, batch_token_log_probs
 from dftlab.rft import RftConfig, sample_and_filter
@@ -94,3 +95,19 @@ def test_train_rejects_an_empty_prompt_before_writing(tmp_path, reversal_data, r
     with pytest.raises(ValueError, match="demonstration 7 has an empty prompt"):
         train_run(config, data)
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("read_out", [
+    lambda model, data: token_histogram(model, data),
+    lambda model, data: lowest_bin_tokens(model, data, 0.5),
+    implicit_reward_scan,
+], ids=["token_histogram", "lowest_bin_tokens", "implicit_reward_scan"])
+def test_teacher_forced_read_outs_reject_an_empty_prompt(read_out):
+    # collate masks from position plen - 1: counted, the empty prompt's
+    # 15 response tokens would come out as 1, for a total of 4, not 18
+    model = Model(ModelConfig(vocab_size=13, d_model=8, n_layers=1, n_heads=2,
+                              context_length=32, seed=5))
+    data = [Demonstration("ab|", "ba", "sequence-reversal", 2),
+            Demonstration("", "abcdefgabcdefg", "sequence-reversal", 1)]
+    with pytest.raises(ValueError, match="demonstration 1 has an empty prompt"):
+        read_out(model, data)
