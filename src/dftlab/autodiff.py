@@ -385,13 +385,6 @@ def gelu(x: Tensor) -> Tensor:
     return _make(0.5 * x.data * (1.0 + t), "gelu", (x,), bw)
 
 
-def relu(x: Tensor) -> Tensor:
-    def bw(g):
-        return (g * (x.data > 0),)
-
-    return _make(np.maximum(x.data, 0.0), "relu", (x,), bw)
-
-
 def transpose(x: Tensor, axes=None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(x.data.ndim)))

@@ -4,11 +4,13 @@ Every subcommand reads one JSON config file, applies ``--set key=value``
 overrides (dotted keys, values parsed as JSON when possible), echoes the
 effective config into the output directory before doing any work, and
 exits 0 on success, 1 on a validation problem (unusable config, unknown
-config key or flag, unreadable input file), or 2 on a runtime failure
-(non-finite loss, empty rejection sampling yield).
+config key or flag, config value of the wrong type, unreadable input
+file), or 2 on a runtime failure (non-finite loss, empty rejection
+sampling yield).
 
-``train``, ``sweep`` and ``figures`` read every file the config names
-and build every run's config before the first run trains.
+``train``, ``sweep`` and ``figures`` read every file the config names,
+build every run's config and check every eval prompt against each run's
+context before the first run trains.
 
 Run ``dftlab <subcommand> --help`` for per-command flags; config schemas
 are documented in the README.
@@ -141,8 +143,9 @@ def _plan(config: dict, runs, curve_from=None, splits=("in", "ood")) -> _Plan:
     """Read every file the config names and build every run's config.
 
     ``runs`` lists (run directory, changes to ``config["run"]``) pairs.
-    A missing or empty file, an unknown key or a bad run value fails
-    here, before the first run trains.
+    A missing or empty file, an unknown key, a bad run value or an eval
+    prompt that a run's context cannot sample from fails here, before
+    the first run trains.
     """
     cap = int(config.get("eval_prompt_cap", 0))
     sets = {}
@@ -154,8 +157,16 @@ def _plan(config: dict, runs, curve_from=None, splits=("in", "ood")) -> _Plan:
     data = load_jsonl(config["train_data"])
     planned = [RunConfig.from_dict(dict(config["run"], **changes, output_dir=run_dir))
                for run_dir, changes in runs]
+    prompt_lengths = {key: [len(d.prompt_ids) for d in demos] for key, demos in sets.items()}
     for run in planned:  # the warmup must fit each run's own step count
         warmup_steps_for(run, total_steps_for(run, len(data)))
+        ctx = run.model.context_length
+        for key, lengths in prompt_lengths.items():  # sampling needs 1 to ctx - 1 tokens
+            bad = next((i for i, n in enumerate(lengths) if not 0 < n < ctx), None)
+            if bad is not None:
+                raise CliError(f"{key} item {bad} has a {lengths[bad]}-token prompt; "
+                               f"run {run.output_dir} samples with context_length {ctx}, "
+                               f"which fits 1 to {ctx - 1}")
     return _Plan(
         data=data,
         curve_set=sets.get(curve_from, []),

@@ -43,9 +43,12 @@ same order.
 
 from __future__ import annotations
 
+import functools
 import json
+import numbers
 import os
 import struct
+import typing
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -73,17 +76,47 @@ _CKPT_MAGIC = b"DFTCKPT1"
 _MASK_FILL_VALUE = -1e30  # finite stand-in for -inf; softmax maps it to exactly 0
 
 
-def check_fields(cls, d) -> dict:
-    """Return ``d`` once it is a dict whose every key is a field of ``cls``.
+# JSON scalar field types and the values each accepts; bool is checked apart
+# because it is an Integral.
+_SCALARS = {int: numbers.Integral, float: numbers.Real, str: str, bool: bool}
 
-    Every config ``from_dict`` calls this, so a misspelt key is a
-    ValueError naming it instead of a TypeError or a silent default.
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)  # resolving string annotations would dominate from_dict
+
+
+def _fits(hint, value) -> bool:
+    """Whether ``value`` suits a field annotated ``hint``."""
+    options = typing.get_args(hint) if typing.get_origin(hint) is typing.Union else (hint,)
+    scalars = [t for t in options if t in _SCALARS]
+    if not scalars:
+        return True  # nested configs and tuples are checked by their own constructors
+    if value is None:
+        return type(None) in options
+    return any(isinstance(value, _SCALARS[t]) and (t is bool) == isinstance(value, bool)
+               for t in scalars)
+
+
+def check_fields(cls, d) -> dict:
+    """Return ``d`` once it is a dict whose every key is a field of ``cls``
+    and whose every scalar value has its field's type.
+
+    Every config ``from_dict`` calls this, so a misspelt key or a value of
+    the wrong type (``"abc"`` or ``2.5`` for an int) is a ValueError naming
+    the key instead of a TypeError or a failure mid-run.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__} needs a JSON object, got {d!r}")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"{cls.__name__} has no field {', '.join(map(repr, unknown))}")
+    hints = _field_types(cls)
+    for key, value in d.items():
+        hint = hints[key]
+        if not _fits(hint, value):
+            expected = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
+            raise ValueError(f"{cls.__name__} field {key!r} must be {expected}, got {value!r}")
     return d
 
 

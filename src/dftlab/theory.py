@@ -13,8 +13,19 @@ Three facts get verified numerically rather than symbolically:
    for single-token responses (``variance_probe``), which is the paper's
    instability argument in its smallest closed form.
 
-Enumeration accumulates terms sequentially in lexicographic sequence
-order; flat gradients use the model's canonical parameter order.
+Enumeration visits sequences in lexicographic order, in blocks of
+``_BLOCK_ROWS`` rows. Each block is one batched teacher-forced forward
+and one backward of the weighted sum of its rows' log pi(y|x); the
+weights are read from that forward and held constant, so by linearity of
+the gradient the block's backward equals the sum of its per-sequence
+terms. Every sequence is still forwarded and differentiated. The block
+cap bounds memory at the ``EnumerationBudget`` cap. Flat gradients use
+the model's canonical parameter order.
+
+``dft_token_reference_grad`` is deliberately not batched: it keeps one
+backward per token, because the token-scaled gradient identity compares
+it with the stop-gradient route, and one weighted backward would be that
+route itself, leaving the check unable to fail.
 """
 
 from __future__ import annotations
@@ -28,8 +39,12 @@ import numpy as np
 from .autodiff import Tensor, backward, mul, softmax
 from .evalreport import teacher_forced_probs
 from .losses import dft_token_loss, sft_loss
-from .model import Model, ModelConfig, inverse_cdf
+from .model import Model, ModelConfig, batch_token_log_probs, inverse_cdf
 from .seeding import derive_seed
+
+# Rows per batched forward and backward in ``_weighted_grad``; bounds peak
+# memory when enumerating up to the ``EnumerationBudget`` cap.
+_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -76,19 +91,55 @@ def grad_log_prob(model: Model, prompt, sequence) -> tuple:
     return float(logp.data), _flat_grad(model, logp)
 
 
-def iter_estimator_samples(model: Model, prompt, y_star, budget: EnumerationBudget):
-    """Yield the full V^T grid of reweighted policy-gradient terms.
+def _weighted_grad(model: Model, prompt, sequences, weight_fn) -> np.ndarray:
+    """Sum over y in ``sequences`` of weight_fn(y, pi(y|x)) * grad log pi(y|x).
 
-    Every sequence is visited and differentiated; the indicator reward is
-    applied afterwards, so the collapse of the sum is an outcome, not a
-    shortcut taken here.
+    Each block of up to ``_BLOCK_ROWS`` same-length sequences takes one
+    forward over its prompt+sequence rows and one backward of
+    sum_y w_y * log pi(y|x), with the weights computed from the forward's
+    values and held constant.
     """
+    prompt = [int(t) for t in prompt]
+    if not prompt or not all(sequences):
+        raise ValueError("need a non-empty prompt and non-empty sequences")
+    start = len(prompt) - 1  # first response position of the shifted log-probs
+    total = np.zeros(model.num_params())
+    for lo in range(0, len(sequences), _BLOCK_ROWS):
+        block = sequences[lo:lo + _BLOCK_ROWS]
+        ids = np.array([prompt + list(y) for y in block], dtype=np.int64)
+        logp = batch_token_log_probs(model, ids)
+        log_pi = logp.data[:, start:].sum(axis=1)
+        weights = np.zeros(logp.shape)
+        weights[:, start:] = np.array(
+            [float(weight_fn(y, math.exp(lp))) for y, lp in zip(block, log_pi)]
+        )[:, None]
+        total += _flat_grad(model, mul(logp, Tensor(weights)).sum())
+    return total
+
+
+def _enumerate(budget: EnumerationBudget) -> list:
+    return list(itertools.product(range(budget.vocab_size), repeat=budget.horizon))
+
+
+def _target(y_star, budget: EnumerationBudget) -> tuple:
     target = tuple(y_star)
     if len(target) != budget.horizon:
         raise ValueError(
             f"y_star length {len(target)} must equal horizon {budget.horizon}"
         )
-    for y in itertools.product(range(budget.vocab_size), repeat=budget.horizon):
+    return target
+
+
+def iter_estimator_samples(model: Model, prompt, y_star, budget: EnumerationBudget):
+    """Yield the full V^T grid of reweighted policy-gradient terms.
+
+    Every sequence is visited and differentiated; the indicator reward is
+    applied afterwards, so the collapse of the sum is an outcome, not a
+    shortcut taken here. This per-term view differentiates one sequence
+    at a time.
+    """
+    target = _target(y_star, budget)
+    for y in _enumerate(budget):
         log_p, g = grad_log_prob(model, prompt, y)
         p = math.exp(log_p)
         r = 1.0 if y == target else 0.0
@@ -105,20 +156,19 @@ def exact_policy_expectation(model: Model, prompt, y_star,
     Analytically this collapses to grad log pi(y*|x); the sum is computed
     in full so the collapse can be checked, not assumed.
     """
-    total = np.zeros(model.num_params())
-    for sample in iter_estimator_samples(model, prompt, y_star, budget):
-        total += sample.weighted_grad
-    return total
+    target = _target(y_star, budget)
+
+    def weight(y, p):
+        r = 1.0 if y == target else 0.0
+        return p * (r / p)
+
+    return _weighted_grad(model, prompt, _enumerate(budget), weight)
 
 
 def exact_score_function_mean(model: Model, prompt,
                               budget: EnumerationBudget) -> np.ndarray:
     """E_y[grad log pi(y|x)] by enumeration; zero for any policy."""
-    total = np.zeros(model.num_params())
-    for y in itertools.product(range(budget.vocab_size), repeat=budget.horizon):
-        log_p, g = grad_log_prob(model, prompt, y)
-        total += math.exp(log_p) * g
-    return total
+    return _weighted_grad(model, prompt, _enumerate(budget), lambda y, p: p)
 
 
 def _sample_fixed_length(model: Model, prompt, horizon: int, n: int,
@@ -149,13 +199,10 @@ def policy_gradient_estimate(model: Model, prompt, reward_fn, horizon: int,
     for row in draws:
         key = tuple(int(t) for t in row)
         counts[key] = counts.get(key, 0) + 1
-    total = np.zeros(model.num_params())
-    for y, count in sorted(counts.items()):
-        log_p, g = grad_log_prob(model, prompt, y)
-        r = float(reward_fn(y, math.exp(log_p)))
-        if r != 0.0:
-            total += (count / n_samples) * r * g
-    return total
+    return _weighted_grad(
+        model, prompt, sorted(counts),
+        lambda y, p: (counts[y] / n_samples) * float(reward_fn(y, p)),
+    )
 
 
 def variance_probe(model: Model, prompt, y_star: int, n_samples: int,

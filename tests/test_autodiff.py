@@ -21,7 +21,6 @@ from dftlab.autodiff import (
     matmul,
     mul,
     pow_const,
-    relu,
     reshape,
     scale,
     softmax,
@@ -258,15 +257,6 @@ def _fd_cases():
         "mean-axis": mean_axis_case,
         "layer-norm": layer_norm_case,
         "gelu": lambda rng: (lambda a: gelu(a).sum(), (rnd(rng, 3, 4),)),
-        "relu": lambda rng: (
-            lambda a: relu(a).sum(),
-            (
-                Tensor(
-                    rng.uniform(0.1, 1.0, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4)),
-                    requires_grad=True,
-                ),
-            ),
-        ),
         "transpose": transpose_case,
         "reshape": reshape_case,
         "embedding-lookup": embedding_case,

@@ -386,3 +386,40 @@ def test_unknown_config_key_exits_one_naming_it(tmp_path, workspace, warm_checkp
     assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "out" / "ckpt_step0.bin").exists()
     assert not (tmp_path / "out" / "train.jsonl").exists()
+
+
+@pytest.mark.parametrize("override", [
+    "run.learning_rate=abc",
+    "run.batch_size=2.5",
+    "run.model.d_model=16.5",
+    "run.loss.reduction=2",
+], ids=["float-given-str", "int-given-float", "ModelConfig", "LossSpec"])
+def test_config_value_of_wrong_type_exits_one_naming_it(tmp_path, workspace, capsys,
+                                                        override):
+    _, data_dir = workspace
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {
+        "run": MICRO_RUN, "train_data": str(data_dir / "train.jsonl"),
+        "output_dir": str(out),
+    })
+    assert dispatch(["train", "--config", cfg, "--set", override]) == 1
+    key = override.split("=")[0].rsplit(".", 1)[1]
+    assert repr(key) in capsys.readouterr().err
+    assert not (out / "ckpt_step0.bin").exists()
+
+
+def test_eval_prompt_longer_than_context_fails_before_training(tmp_path, workspace, capsys):
+    # OOD reversal prompts hold 10-11 tokens; a context of 9 can sample none of them
+    _, data_dir = workspace
+    out = tmp_path / "figs"
+    cfg = write_config(tmp_path / "f.json", {
+        "run": dict(MICRO_RUN, model=dict(MICRO_MODEL, context_length=9)),
+        "train_data": str(data_dir / "train.jsonl"),
+        "eval_in": str(data_dir / "eval_in.jsonl"),
+        "eval_ood": str(data_dir / "eval_ood.jsonl"),
+        "eval_k": 1, "sweep_learning_rates": [1e-3], "output_dir": str(out),
+    })
+    assert dispatch(["figures", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "eval_ood" in err and "context_length 9" in err
+    assert not (out / "fig1_sft").exists()

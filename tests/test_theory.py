@@ -1,12 +1,15 @@
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from dftlab import theory
 from dftlab.model import Model, ModelConfig
 from dftlab.theory import (
     EnumerationBudget,
+    dft_token_reference_grad,
     exact_policy_expectation,
     exact_score_function_mean,
     grad_log_prob,
@@ -78,6 +81,100 @@ def test_score_function_zero_mean():
     model = tiny(3, seed=4)
     mean = exact_score_function_mean(model, [1], EnumerationBudget(3, 2))
     assert np.max(np.abs(mean)) <= 1e-10
+
+
+def _per_sequence_sum(model, prompt, sequences, weight_fn):
+    """Reference for the batched oracles: one grad_log_prob per sequence."""
+    total = np.zeros(model.num_params())
+    for y in sequences:
+        log_p, g = grad_log_prob(model, prompt, y)
+        total += weight_fn(y, math.exp(log_p)) * g
+    return total
+
+
+def _grid(vocab, horizon):
+    return list(itertools.product(range(vocab), repeat=horizon))
+
+
+@pytest.mark.parametrize("vocab,horizon", [(2, 3), (3, 3)])
+def test_batched_expectation_matches_per_sequence_terms(vocab, horizon):
+    model = tiny(vocab, seed=13)
+    budget = EnumerationBudget(vocab, horizon)
+    y_star = [vocab - 1] * horizon
+    got = exact_policy_expectation(model, [0], y_star, budget)
+    ref = sum(s.weighted_grad for s in iter_estimator_samples(model, [0], y_star, budget))
+    assert np.max(np.abs(ref)) > 1e-3
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_batched_score_mean_matches_per_sequence_terms():
+    model = tiny(3, seed=14)
+    got = exact_score_function_mean(model, [2], EnumerationBudget(3, 3))
+    ref = _per_sequence_sum(model, [2], _grid(3, 3), lambda y, p: p)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_weighted_grad_matches_per_sequence_terms():
+    # a weight that is neither an indicator nor pi itself, so the sum is far from 0
+    model = tiny(3, seed=15)
+    weight = lambda y, p: p * (1.0 + y[0]) - 0.5 * y[-1]  # noqa: E731
+    got = theory._weighted_grad(model, [1, 2], _grid(3, 3), weight)
+    ref = _per_sequence_sum(model, [1, 2], _grid(3, 3), weight)
+    assert np.max(np.abs(ref)) > 1e-2
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_blocks_that_split_the_rows_match_one_block(monkeypatch):
+    model = tiny(3, seed=16)
+    budget = EnumerationBudget(3, 3)  # 27 rows: blocks of 7, 7, 7 and 6
+    weight = lambda y, p: p * (1.0 + y[0]) - 0.5 * y[-1]  # noqa: E731
+
+    def run():
+        return [
+            exact_policy_expectation(model, [0], [2, 2, 1], budget),
+            exact_score_function_mean(model, [0], budget),
+            theory._weighted_grad(model, [0], _grid(3, 3), weight),
+            policy_gradient_estimate(model, [0], lambda y, p: 1.0 + y[0], horizon=3,
+                                     n_samples=200, seed=12),
+        ]
+
+    whole = run()
+    monkeypatch.setattr(theory, "_BLOCK_ROWS", 7)
+    split = run()
+    for a, b in zip(whole, split):
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def test_score_mean_needs_every_sequence():
+    # the zero-mean oracle can fail: leave one sequence out and the sum moves
+    model = tiny(3, seed=4)
+    full = theory._weighted_grad(model, [1], _grid(3, 2), lambda y, p: p)
+    partial = theory._weighted_grad(model, [1], _grid(3, 2)[1:], lambda y, p: p)
+    assert np.max(np.abs(full)) <= 1e-10
+    assert np.max(np.abs(partial)) > 1e-10
+
+
+def test_weighted_grad_rejects_empty_prompt_and_sequence():
+    model = tiny(3, seed=4)
+    with pytest.raises(ValueError, match="non-empty"):
+        exact_score_function_mean(model, [], EnumerationBudget(3, 1))
+    with pytest.raises(ValueError, match="non-empty"):
+        policy_gradient_estimate(model, [0], lambda y, p: 1.0, horizon=0,
+                                 n_samples=3, seed=0)
+
+
+def test_y_star_length_must_match_horizon():
+    model = tiny(2, seed=3)
+    with pytest.raises(ValueError, match="horizon"):
+        exact_policy_expectation(model, [0], [1], EnumerationBudget(2, 2))
+
+
+def test_dft_token_reference_grad_runs_one_backward_per_token(monkeypatch):
+    calls = []
+    original = theory.backward
+    monkeypatch.setattr(theory, "backward", lambda loss: calls.append(1) or original(loss))
+    dft_token_reference_grad(tiny(4, seed=5), [0, 1], [2, 3, 1])
+    assert len(calls) == 3
 
 
 def test_policy_gradient_zero_reward():
