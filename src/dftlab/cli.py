@@ -105,6 +105,34 @@ def _prepare_dir(config: dict, out_override, required: bool):
     return out
 
 
+def _checkpoint_path(config: dict) -> str:
+    """``config["checkpoint"]``; anything but a string (an int would open
+    as a file descriptor) is a CliError naming the key."""
+    path = config["checkpoint"]
+    if not isinstance(path, str):
+        raise CliError(f"'checkpoint' must be a path string, got {path!r}")
+    return path
+
+
+def _is_int(value, minimum: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def _int_value(config: dict, key: str, default: int, minimum: int) -> int:
+    value = config.get(key, default)
+    if not _is_int(value, minimum):
+        raise CliError(f"{key!r} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _int_list(config: dict, key: str, default: list, minimum: int) -> tuple:
+    values = config.get(key, default)
+    if not (isinstance(values, list) and values and all(_is_int(v, minimum) for v in values)):
+        raise CliError(f"{key!r} must be a non-empty list of integers >= {minimum}, "
+                       f"got {values!r}")
+    return tuple(values)
+
+
 def _write_json(path: str, payload, **kwargs) -> None:
     with open(path, "w") as f:
         json.dump(payload, f, indent=1, **kwargs)
@@ -220,7 +248,7 @@ def cmd_train(config: dict, out: str) -> int:
 
 
 def cmd_eval(config: dict, out: str) -> int:
-    model = load_checkpoint(config["checkpoint"])
+    model = load_checkpoint(_checkpoint_path(config))
     data = load_jsonl(config["eval_data"])
     split = config.get("split", "in")
     result, path = _write_eval(
@@ -236,7 +264,7 @@ def cmd_eval(config: dict, out: str) -> int:
 
 
 def cmd_rft_sample(config: dict, out: str) -> int:
-    model = load_checkpoint(config["checkpoint"])
+    model = load_checkpoint(_checkpoint_path(config))
     prompts = load_jsonl(config["prompts_data"])
     rft = RftConfig.from_dict(config.get("rft", {}))
     retained, stats = sample_and_filter(model, prompts, verify, rft)
@@ -254,11 +282,11 @@ def cmd_rft_sample(config: dict, out: str) -> int:
 
 def cmd_verify(config: dict, out) -> int:
     results = run_verification(
-        seed=int(config.get("seed", 0)),
-        vocab_sizes=tuple(config.get("vocab_sizes", (2, 3))),
-        horizons=tuple(config.get("horizons", (1, 2, 3, 4))),
-        models_per_cell=int(config.get("models_per_cell", 5)),
-        n_samples=int(config.get("n_samples", 100_000)),
+        seed=_int_value(config, "seed", 0, minimum=0),
+        vocab_sizes=_int_list(config, "vocab_sizes", [2, 3], minimum=2),
+        horizons=_int_list(config, "horizons", [1, 2, 3, 4], minimum=1),
+        models_per_cell=_int_value(config, "models_per_cell", 5, minimum=1),
+        n_samples=_int_value(config, "n_samples", 100_000, minimum=1),
     )
     for r in results:
         print(f"{'PASS' if r['passed'] else 'FAIL'}  {r['name']}: {r['detail']}")
@@ -269,9 +297,10 @@ def cmd_verify(config: dict, out) -> int:
 
 
 def cmd_analyze(config: dict, out: str) -> int:
-    model = load_checkpoint(config["checkpoint"])
+    checkpoint = _checkpoint_path(config)
+    model = load_checkpoint(checkpoint)
     data = load_jsonl(config["data"])
-    tag = config.get("model_tag", os.path.basename(config["checkpoint"]))
+    tag = config.get("model_tag", os.path.basename(checkpoint))
     hist = token_histogram(model, data, bin_edges=config.get("bin_edges"),
                            model_tag=tag)
     _write_json(os.path.join(out, "histogram.json"), hist.to_dict())

@@ -308,7 +308,8 @@ class Model:
         hd = c.d_model // h
 
         x = add(embedding(p["wte"], ids), embedding(p["wpe"], np.arange(start, start + t)))
-        causal = ~np.tril(np.ones((t, start + t), dtype=bool), k=start)
+        # One new position sees every cached one: no entry to mask.
+        causal = ~np.tril(np.ones((t, start + t), dtype=bool), k=start) if t > 1 else None
 
         for i in range(c.n_layers):
             pre = f"layers.{i}."
@@ -324,7 +325,8 @@ class Model:
             if cache is not None:
                 k, v = map(Tensor, cache.extend(i, k.data, v.data))
             att = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-            att = mask_fill(att, causal, _MASK_FILL_VALUE)
+            if causal is not None:
+                att = mask_fill(att, causal, _MASK_FILL_VALUE)
             out = matmul(softmax(att), v)
             out = reshape(transpose(out, (0, 2, 1, 3)), (b, t, c.d_model))
             out = add(matmul(out, p[pre + "attn.wo"]), p[pre + "attn.bo"])

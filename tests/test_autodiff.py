@@ -63,8 +63,10 @@ def test_log_softmax_of_zeros():
 
 
 def test_shape_mismatch_diagnostics():
-    with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
-        add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+    with pytest.raises(ValueError, match=r"^add: shapes \(2, 3\) and \(4, 5\)"):
+        add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5)), requires_grad=True))
+    with pytest.raises(ValueError, match=r"^multiply: shapes \(3,\) and \(2, 4\)"):
+        mul(Tensor(np.zeros(3)), Tensor(np.zeros((2, 4))))
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
 
@@ -74,6 +76,38 @@ def test_gather_index_out_of_range():
         gather(Tensor(np.zeros((2, 3))), np.array([0, 3]))
     with pytest.raises(IndexError):
         embedding(Tensor(np.zeros((4, 2))), np.array([4]))
+
+
+def _softmax_by_methods(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _layer_norm_by_mean(x, w, b, eps=1e-5):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    return w * (centered * (1.0 / np.sqrt(var + eps))) + b
+
+
+@pytest.mark.parametrize("shape,order", [
+    ((12, 1, 32), None),
+    ((32, 47, 32), None),
+    ((3, 2, 1, 9), None),
+    ((32, 6, 12), (2, 1, 0)),
+], ids=["decode-step", "train-batch", "attention", "transposed-view"])
+def test_reduction_forwards_keep_the_bits_of_the_mean_max_sum_formulas(shape, order):
+    # softmax and layer_norm call the ufunc reductions directly; the
+    # .mean/.max/.sum methods run the same loops, so no bit may move
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(shape) * 3.0
+    if order is not None:
+        x = x.transpose(order)
+        assert not x.flags.c_contiguous
+    w, b = rng.standard_normal(x.shape[-1]), rng.standard_normal(x.shape[-1])
+    got = layer_norm(Tensor(x), Tensor(w), Tensor(b)).data
+    assert got.tobytes() == _layer_norm_by_mean(x, w, b).tobytes()
+    assert softmax(Tensor(x)).data.tobytes() == _softmax_by_methods(x).tobytes()
 
 
 # --- backward basics ---
@@ -215,6 +249,11 @@ def _fd_cases():
         c = _const(rng, 4, 3)
         return lambda a: mul(transpose(a, (1, 0)), c).sum(), (rnd(rng, 3, 4),)
 
+    def transpose_3d_case(rng):
+        # (1, 2, 0) is not its own inverse, unlike every 2-D permutation
+        c = _const(rng, 3, 4, 2)
+        return lambda a: mul(transpose(a, (1, 2, 0)), c).sum(), (rnd(rng, 2, 3, 4),)
+
     def reshape_case(rng):
         c = _const(rng, 2, 6)
         return lambda a: mul(reshape(a, (2, 6)), c).sum(), (rnd(rng, 3, 4),)
@@ -258,6 +297,7 @@ def _fd_cases():
         "layer-norm": layer_norm_case,
         "gelu": lambda rng: (lambda a: gelu(a).sum(), (rnd(rng, 3, 4),)),
         "transpose": transpose_case,
+        "transpose-3d": transpose_3d_case,
         "reshape": reshape_case,
         "embedding-lookup": embedding_case,
         "scalar-scale": lambda rng: (

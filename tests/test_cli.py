@@ -423,3 +423,32 @@ def test_eval_prompt_longer_than_context_fails_before_training(tmp_path, workspa
     err = capsys.readouterr().err
     assert "eval_ood" in err and "context_length 9" in err
     assert not (out / "fig1_sft").exists()
+
+
+@pytest.mark.parametrize("override", [
+    "vocab_sizes=3",
+    'horizons=["a"]',
+    "vocab_sizes=[1]",
+    "seed=1.5",
+    "models_per_cell=0",
+    "n_samples=true",
+], ids=["int-for-list", "str-in-list", "vocab-below-2", "float-seed", "no-models",
+        "bool-for-int"])
+def test_verify_value_of_wrong_type_exits_one_naming_it(tmp_path, capsys, override):
+    cfg = write_config(tmp_path / "v.json", {"output_dir": str(tmp_path / "verify")})
+    assert dispatch(["verify", "--config", cfg, "--set", override]) == 1
+    assert repr(override.split("=")[0]) in capsys.readouterr().err
+    assert not (tmp_path / "verify" / "verify_report.json").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["eval", "rft-sample", "analyze"])
+def test_checkpoint_that_is_not_a_path_exits_one(tmp_path, warm_checkpoint, capsys,
+                                                  subcommand):
+    # an int would reach open() as a file descriptor
+    _, prompts = warm_checkpoint
+    cfg = write_config(tmp_path / "c.json", {
+        "eval_data": prompts, "prompts_data": prompts, "data": prompts,
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert dispatch([subcommand, "--config", cfg, "--set", "checkpoint=3"]) == 1
+    assert "'checkpoint' must be a path string, got 3" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -76,6 +77,25 @@ def test_forward_determinism_golden():
 
 
 GOLDEN_LOGITS_SHA256 = "358141c5a0ab4eeb62d8f2607f67faed75bde36bd372aaf08845ecfac06657aa"
+
+
+def test_sample_batch_determinism_golden(small_model):
+    # recorded once; guards the cached decode path (prefill, one-position
+    # steps, rows leaving at EOS) down to the sampled token ids, which the
+    # logits golden above never reaches
+    prompts = [[2, 3], [4], [5, 6, 7], [2, 3], [7, 2, 4, 6], [3], [6, 5, 4]]
+    seeds = list(range(100, 107))
+    sampled = sample_batch(small_model, prompts, 12, 0.7, seeds)
+    greedy = sample_batch(small_model, prompts, 12, 1.0, seeds, greedy=True)
+    assert any(len(out) < 12 for out in sampled)  # some rows leave the batch early
+    assert [hashlib.sha256(json.dumps(outs).encode()).hexdigest()
+            for outs in (sampled, greedy)] == GOLDEN_DECODE_SHA256
+
+
+GOLDEN_DECODE_SHA256 = [
+    "66c886bca3155485220dc51fc61fdeef53b4f1bbb634733a1f3afb76c72f5330",  # T=0.7
+    "8ab38a4b3e611d8751f7ff2562a42c9599c48de63a7739781f55cacf3a561cdc",  # greedy
+]
 
 
 def test_rejects_out_of_vocab(small_model):
