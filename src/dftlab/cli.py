@@ -3,10 +3,12 @@
 Every subcommand reads one JSON config file, applies ``--set key=value``
 overrides (dotted keys, values parsed as JSON when possible), echoes the
 effective config into the output directory before doing any work, and
-exits 0 on success, 1 on a validation problem (unusable config, unknown
-config key or flag, config value of the wrong type, unreadable input
-file), or 2 on a runtime failure (non-finite loss, empty rejection
-sampling yield).
+exits 0 on success, 1 on a validation problem, or 2 on a runtime failure
+(non-finite loss, empty rejection sampling yield). Validation problems
+are an unusable config, an unknown config key or flag, a config value
+of the wrong type or a missing required field (each named), and an
+unreadable input file or one with a malformed line (named with its line
+number).
 
 ``train``, ``sweep`` and ``figures`` read every file the config names,
 build every run's config and check every eval prompt against each run's
@@ -22,7 +24,9 @@ import argparse
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass
+from typing import Optional
 
 from .evalreport import (
     comparison_report,
@@ -31,7 +35,7 @@ from .evalreport import (
     token_histogram,
     write_comparison,
 )
-from .model import load_checkpoint
+from .model import _fits, _type_name, load_checkpoint
 from .rft import RftConfig, sample_and_filter
 from .seeding import derive_seed
 from .tasks import TaskSpec, generate_dataset, load_jsonl, save_jsonl, verify
@@ -94,7 +98,7 @@ def _load_config(path: str, assignments) -> dict:
 
 
 def _prepare_dir(config: dict, out_override, required: bool):
-    out = out_override or config.get("output_dir")
+    out = out_override or _path(config, "output_dir", None)
     if not out:
         if not required:
             return None
@@ -105,32 +109,35 @@ def _prepare_dir(config: dict, out_override, required: bool):
     return out
 
 
-def _checkpoint_path(config: dict) -> str:
-    """``config["checkpoint"]``; anything but a string (an int would open
-    as a file descriptor) is a CliError naming the key."""
-    path = config["checkpoint"]
-    if not isinstance(path, str):
-        raise CliError(f"'checkpoint' must be a path string, got {path!r}")
-    return path
+_REQUIRED = object()
 
 
-def _is_int(value, minimum: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+def _value(config: dict, key: str, hint, default=_REQUIRED, minimum=None, what=None):
+    """``config[key]``, or ``default`` when it is absent, once it fits ``hint``.
 
-
-def _int_value(config: dict, key: str, default: int, minimum: int) -> int:
-    value = config.get(key, default)
-    if not _is_int(value, minimum):
-        raise CliError(f"{key!r} must be an integer >= {minimum}, got {value!r}")
+    ``minimum`` bounds an int, or every item of a list that must then be
+    non-empty. A value that breaks either is a CliError naming ``key``. A
+    number read for a float comes back as a float, as JSON writes 1.0 as 1.
+    """
+    value = config[key] if default is _REQUIRED else config.get(key, default)
+    items = value if isinstance(value, list) else [value]
+    if not _fits(hint, value) or minimum is not None and not (items and min(items) >= minimum):
+        if what is None:
+            what = _type_name(hint)
+            if minimum is not None:
+                what += f" >= {minimum}" if hint is int else f", non-empty, each >= {minimum}"
+        raise CliError(f"{key!r} must be {what}, got {value!r}")
+    base = typing.get_args(hint)[0] if typing.get_origin(hint) is typing.Union else hint
+    if value is not None and float in (base, *typing.get_args(base)):
+        return [float(v) for v in value] if isinstance(value, list) else float(value)
     return value
 
 
-def _int_list(config: dict, key: str, default: list, minimum: int) -> tuple:
-    values = config.get(key, default)
-    if not (isinstance(values, list) and values and all(_is_int(v, minimum) for v in values)):
-        raise CliError(f"{key!r} must be a non-empty list of integers >= {minimum}, "
-                       f"got {values!r}")
-    return tuple(values)
+def _path(config: dict, key: str, default=_REQUIRED):
+    """A path key's value: a string, since open() reads an int as a file
+    descriptor; ``default`` None makes the key optional."""
+    return _value(config, key, str if default is _REQUIRED else Optional[str], default,
+                  what="a path string")
 
 
 def _write_json(path: str, payload, **kwargs) -> None:
@@ -175,15 +182,19 @@ def _plan(config: dict, runs, curve_from=None, splits=("in", "ood")) -> _Plan:
     prompt that a run's context cannot sample from fails here, before
     the first run trains.
     """
-    cap = int(config.get("eval_prompt_cap", 0))
+    cap = _value(config, "eval_prompt_cap", int, 0, minimum=0)  # -1 would drop the last item
+    sampling = {"k": _value(config, "eval_k", int, 4, minimum=1),
+                "temperature": _value(config, "eval_temperature", float, 1.0)}
     sets = {}
     for key in dict.fromkeys([curve_from] + [f"eval_{s}" for s in splits]):  # no file read twice
-        if key and config.get(key):
-            sets[key] = load_jsonl(config[key])[: cap or None]
+        path = key and _path(config, key, None)
+        if path:
+            sets[key] = load_jsonl(path)[: cap or None]
             if not sets[key]:
-                raise CliError(f"{key} {config[key]!r} holds no items")
-    data = load_jsonl(config["train_data"])
-    planned = [RunConfig.from_dict(dict(config["run"], **changes, output_dir=run_dir))
+                raise CliError(f"{key} {path!r} holds no items")
+    data = load_jsonl(_path(config, "train_data"))
+    base = _value(config, "run", dict)
+    planned = [RunConfig.from_dict(dict(base, **changes, output_dir=run_dir))
                for run_dir, changes in runs]
     prompt_lengths = {key: [len(d.prompt_ids) for d in demos] for key, demos in sets.items()}
     for run in planned:  # the warmup must fit each run's own step count
@@ -199,8 +210,7 @@ def _plan(config: dict, runs, curve_from=None, splits=("in", "ood")) -> _Plan:
         data=data,
         curve_set=sets.get(curve_from, []),
         final_sets={s: sets[f"eval_{s}"] for s in splits if f"eval_{s}" in sets},
-        sampling={"k": int(config.get("eval_k", 4)),
-                  "temperature": float(config.get("eval_temperature", 1.0))},
+        sampling=sampling,
         runs=planned,
     )
 
@@ -228,9 +238,9 @@ def cmd_gen_data(config: dict, out: str) -> int:
     spec = TaskSpec.from_dict(config["task"])
     train, eval_in, eval_ood = generate_dataset(
         spec,
-        int(config.get("n_train", 5000)),
-        int(config.get("n_eval_in", 500)),
-        int(config.get("n_eval_ood", 500)),
+        _value(config, "n_train", int, 5000),
+        _value(config, "n_eval_in", int, 500),
+        _value(config, "n_eval_ood", int, 500),
     )
     for name, demos in (("train", train), ("eval_in", eval_in),
                         ("eval_ood", eval_ood)):
@@ -248,15 +258,15 @@ def cmd_train(config: dict, out: str) -> int:
 
 
 def cmd_eval(config: dict, out: str) -> int:
-    model = load_checkpoint(_checkpoint_path(config))
-    data = load_jsonl(config["eval_data"])
+    model = load_checkpoint(_path(config, "checkpoint"))
+    data = load_jsonl(_path(config, "eval_data"))
     split = config.get("split", "in")
     result, path = _write_eval(
         out, split, model, data,
-        k=int(config.get("k", 16)),
-        temperature=float(config.get("temperature", 1.0)),
-        seed=int(config.get("seed", 0)),
-        greedy=bool(config.get("greedy", False)),
+        k=_value(config, "k", int, 16),
+        temperature=_value(config, "temperature", float, 1.0),
+        seed=_value(config, "seed", int, 0),
+        greedy=_value(config, "greedy", bool, False),
     )
     write_manifest(out)
     print(f"avg@{result.k} = {result.avg_at_k:.4f} ({split}) -> {path}")
@@ -264,8 +274,8 @@ def cmd_eval(config: dict, out: str) -> int:
 
 
 def cmd_rft_sample(config: dict, out: str) -> int:
-    model = load_checkpoint(_checkpoint_path(config))
-    prompts = load_jsonl(config["prompts_data"])
+    model = load_checkpoint(_path(config, "checkpoint"))
+    prompts = load_jsonl(_path(config, "prompts_data"))
     rft = RftConfig.from_dict(config.get("rft", {}))
     retained, stats = sample_and_filter(model, prompts, verify, rft)
     save_jsonl(retained, os.path.join(out, "filtered.jsonl"))
@@ -282,11 +292,11 @@ def cmd_rft_sample(config: dict, out: str) -> int:
 
 def cmd_verify(config: dict, out) -> int:
     results = run_verification(
-        seed=_int_value(config, "seed", 0, minimum=0),
-        vocab_sizes=_int_list(config, "vocab_sizes", [2, 3], minimum=2),
-        horizons=_int_list(config, "horizons", [1, 2, 3, 4], minimum=1),
-        models_per_cell=_int_value(config, "models_per_cell", 5, minimum=1),
-        n_samples=_int_value(config, "n_samples", 100_000, minimum=1),
+        seed=_value(config, "seed", int, 0, minimum=0),
+        vocab_sizes=_value(config, "vocab_sizes", list[int], [2, 3], minimum=2),
+        horizons=_value(config, "horizons", list[int], [1, 2, 3, 4], minimum=1),
+        models_per_cell=_value(config, "models_per_cell", int, 5, minimum=1),
+        n_samples=_value(config, "n_samples", int, 100_000, minimum=1),
     )
     for r in results:
         print(f"{'PASS' if r['passed'] else 'FAIL'}  {r['name']}: {r['detail']}")
@@ -297,14 +307,14 @@ def cmd_verify(config: dict, out) -> int:
 
 
 def cmd_analyze(config: dict, out: str) -> int:
-    checkpoint = _checkpoint_path(config)
+    checkpoint = _path(config, "checkpoint")
     model = load_checkpoint(checkpoint)
-    data = load_jsonl(config["data"])
-    tag = config.get("model_tag", os.path.basename(checkpoint))
-    hist = token_histogram(model, data, bin_edges=config.get("bin_edges"),
-                           model_tag=tag)
+    data = load_jsonl(_path(config, "data"))
+    tag = _value(config, "model_tag", str, os.path.basename(checkpoint))
+    hist = token_histogram(model, data, model_tag=tag,
+                           bin_edges=_value(config, "bin_edges", Optional[list[float]], None))
     _write_json(os.path.join(out, "histogram.json"), hist.to_dict())
-    ranked = lowest_bin_tokens(model, data, float(config.get("threshold", 0.05)))
+    ranked = lowest_bin_tokens(model, data, _value(config, "threshold", float, 0.05))
     _write_json(os.path.join(out, "lowest_bin_tokens.json"),
                 [{"token": t, "count": c} for t, c in ranked])
     _write_json(os.path.join(out, "implicit_weights.json"),
@@ -315,7 +325,7 @@ def cmd_analyze(config: dict, out: str) -> int:
 
 
 def cmd_report(config: dict, out: str) -> int:
-    report = _write_comparison(out, "", config.get("run_dirs", []))
+    report = _write_comparison(out, "", _value(config, "run_dirs", list[str], []))
     write_manifest(out)
     print(f"{len(report['rows'])} runs reported, "
           f"{len(report['errors'])} errors -> {out}")
@@ -323,8 +333,8 @@ def cmd_report(config: dict, out: str) -> int:
 
 
 def cmd_sweep(config: dict, out: str) -> int:
-    rates = config.get("learning_rates", list(SWEEP_LEARNING_RATES))
-    plan = _plan(config, [(os.path.join(out, f"lr{lr:g}"), {"learning_rate": float(lr)})
+    rates = _value(config, "learning_rates", list[float], list(SWEEP_LEARNING_RATES))
+    plan = _plan(config, [(os.path.join(out, f"lr{lr:g}"), {"learning_rate": lr})
                           for lr in rates])
     for run in plan.runs:
         _execute(plan, run)
@@ -348,18 +358,19 @@ def reproduce_figures(config: dict) -> dict:
     runs = [(os.path.join(out, f"fig1_{kind}"), {"loss": {"kind": kind}}) for kind in kinds]
     # short sweeps over learning rate and batch size, both objectives
     short = {"eval_every": 0}
-    if config.get("sweep_max_steps") is not None:
-        short.update(max_steps=int(config["sweep_max_steps"]), epochs=None)
+    max_steps = _value(config, "sweep_max_steps", Optional[int], None)
+    if max_steps is not None:
+        short.update(max_steps=max_steps, epochs=None)
     axes = {}
-    for axis, key, cast, values in (
-        ("lr", "learning_rate", float,
-         config.get("sweep_learning_rates", list(SWEEP_LEARNING_RATES))),
-        ("batch", "batch_size", int, config.get("sweep_batch_sizes", [])),
+    for axis, key, values in (
+        ("lr", "learning_rate", _value(config, "sweep_learning_rates", Optional[list[float]],
+                                       list(SWEEP_LEARNING_RATES))),
+        ("batch", "batch_size", _value(config, "sweep_batch_sizes", Optional[list[int]], [])),
     ):
         for value in values or ():
             for kind in kinds:
                 run_dir = os.path.join(out, f"fig3_{axis}{value:g}_{kind}")
-                runs.append((run_dir, {"loss": {"kind": kind}, key: cast(value), **short}))
+                runs.append((run_dir, {"loss": {"kind": kind}, key: value, **short}))
                 axes.setdefault(axis, []).append(run_dir)
     plan = _plan(config, runs, curve_from="eval_in")
 

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import LOG_FLOOR, Tensor, exp, mul, scale, stop_gradient, tensor_sum
-from .model import check_fields
+from .model import Record
 
 KINDS = ("sft", "dft_token", "dft_sequence", "focal", "iw_sft")
 REDUCTIONS = ("mean", "sum")
@@ -43,7 +43,7 @@ DEFAULT_IW_CLIP = 4.0
 
 
 @dataclass
-class LossSpec:
+class LossSpec(Record):
     """Choice of objective plus its knobs; every field serializes.
 
     iw_sft's per-token reference log probs are runtime data, passed to
@@ -79,10 +79,6 @@ class LossSpec:
         if self.iw_clip is not None:
             out["iw_clip"] = self.iw_clip
         return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossSpec":
-        return cls(**check_fields(cls, d))
 
 
 @dataclass

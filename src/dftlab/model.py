@@ -49,7 +49,7 @@ import numbers
 import os
 import struct
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -76,9 +76,10 @@ _CKPT_MAGIC = b"DFTCKPT1"
 _MASK_FILL_VALUE = -1e30  # finite stand-in for -inf; softmax maps it to exactly 0
 
 
-# JSON scalar field types and the values each accepts; bool is checked apart
-# because it is an Integral.
-_SCALARS = {int: numbers.Integral, float: numbers.Real, str: str, bool: bool}
+# The JSON values each annotation accepts; bool is checked apart because it
+# is an Integral, and a tuple field is read from a JSON array.
+_JSON_TYPES = {int: numbers.Integral, float: numbers.Real, str: str, bool: bool,
+               dict: dict, tuple: list, type(None): type(None)}
 
 
 @functools.cache
@@ -87,41 +88,73 @@ def _field_types(cls) -> dict:
 
 
 def _fits(hint, value) -> bool:
-    """Whether ``value`` suits a field annotated ``hint``."""
-    options = typing.get_args(hint) if typing.get_origin(hint) is typing.Union else (hint,)
-    scalars = [t for t in options if t in _SCALARS]
-    if not scalars:
-        return True  # nested configs and tuples are checked by their own constructors
-    if value is None:
-        return type(None) in options
-    return any(isinstance(value, _SCALARS[t]) and (t is bool) == isinstance(value, bool)
-               for t in scalars)
+    """Whether the JSON ``value`` suits ``hint``: a key of ``_JSON_TYPES``,
+    ``list[X]``, a record, or an ``Optional`` of one of these."""
+    if typing.get_origin(hint) is typing.Union:
+        return any(_fits(option, value) for option in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_fits(item, v) for v in value)
+    if hint in _JSON_TYPES:
+        return isinstance(value, _JSON_TYPES[hint]) and (hint is bool) == isinstance(value, bool)
+    return value is not None  # a record checks its own object in from_dict
 
 
-def check_fields(cls, d) -> dict:
-    """Return ``d`` once it is a dict whose every key is a field of ``cls``
-    and whose every scalar value has its field's type.
+def _type_name(hint) -> str:
+    return hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
 
-    Every config ``from_dict`` calls this, so a misspelt key or a value of
-    the wrong type (``"abc"`` or ``2.5`` for an int) is a ValueError naming
-    the key instead of a TypeError or a failure mid-run.
-    """
-    if not isinstance(d, dict):
-        raise ValueError(f"{cls.__name__} needs a JSON object, got {d!r}")
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"{cls.__name__} has no field {', '.join(map(repr, unknown))}")
-    hints = _field_types(cls)
-    for key, value in d.items():
-        hint = hints[key]
-        if not _fits(hint, value):
-            expected = hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
-            raise ValueError(f"{cls.__name__} field {key!r} must be {expected}, got {value!r}")
-    return d
+
+def _to_json(value):
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_to_json(v) for v in value]
+    return value
+
+
+class Record:
+    """JSON codec shared by the dataclasses that are read from or written
+    to JSON: configs, task specs and demonstrations."""
+
+    @classmethod
+    def from_dict(cls, d):
+        """Build from a JSON object whose every key is a field of ``cls``.
+
+        A misspelt key, a missing field without a default, or a value of the
+        wrong type (``"abc"`` or ``2.5`` for an int) is a ValueError naming the
+        key instead of a TypeError or a failure mid-run. A nested record is
+        built through its own ``from_dict``; a ``tuple`` field takes a list.
+        """
+        if not isinstance(d, dict):
+            raise ValueError(f"{cls.__name__} needs a JSON object, got {d!r}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"{cls.__name__} has no field {', '.join(map(repr, unknown))}")
+        missing = [f.name for f in fields(cls) if f.name not in d
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ValueError(f"{cls.__name__} is missing field {', '.join(map(repr, missing))}")
+        hints = _field_types(cls)
+        kwargs = {}
+        for key, value in d.items():
+            hint = hints[key]
+            if not _fits(hint, value):
+                raise ValueError(f"{cls.__name__} field {key!r} must be {_type_name(hint)}, "
+                                 f"got {value!r}")
+            if isinstance(hint, type) and issubclass(hint, Record):
+                value = hint.from_dict(value)
+            elif hint is tuple:
+                value = tuple(value)
+            kwargs[key] = value
+        return cls(**kwargs)
+
+    def to_dict(self) -> dict:
+        """Every field, with nested records as objects and tuples as lists."""
+        return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(Record):
     vocab_size: int
     d_model: int = 128
     n_layers: int = 4
@@ -132,20 +165,15 @@ class ModelConfig:
     def __post_init__(self):
         if self.vocab_size < 2:
             raise ValueError(f"vocab_size must be >= 2, got {self.vocab_size}")
+        for field in ("d_model", "n_layers", "n_heads", "context_length"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be positive")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        for field in ("d_model", "n_layers", "n_heads", "context_length"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"{field} must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**check_fields(cls, d))
+        if self.seed < 0:  # numpy seeds the init from a non-negative int
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def expected_param_count(config: ModelConfig) -> int:
@@ -521,7 +549,7 @@ def load_checkpoint(path) -> Model:
     (cfg_len,) = struct.unpack("<I", take(4))
     try:
         config = ModelConfig.from_dict(json.loads(take(cfg_len).decode()))
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: bad config: {exc}") from None
     model = Model(config)
     (n_params,) = struct.unpack("<I", take(4))

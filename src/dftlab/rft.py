@@ -14,16 +14,16 @@ detokenize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .model import EOS_ID, PAD_ID, Model, check_fields, sample_batch
+from .model import EOS_ID, PAD_ID, Model, Record, sample_batch
 from .seeding import derive_seed
 from .tasks import Demonstration, vocabulary_for
 from .training import RunConfig, train_run
 
 
 @dataclass
-class RftConfig:
+class RftConfig(Record):
     n_responses_per_prompt: int = 4
     temperature: float = 1.0
     max_new_tokens: int = 48
@@ -39,39 +39,15 @@ class RftConfig:
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_responses_per_prompt": self.n_responses_per_prompt,
-            "temperature": self.temperature,
-            "max_new_tokens": self.max_new_tokens,
-            "prompt_count": self.prompt_count,
-            "dedupe": self.dedupe,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RftConfig":
-        return cls(**check_fields(cls, d))
-
 
 @dataclass
-class FilterStats:
+class FilterStats(Record):
     n_prompts: int
     n_samples: int
     n_verified: int
     n_retained: int
     keep_rate: float
     per_prompt_kept: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_prompts": self.n_prompts,
-            "n_samples": self.n_samples,
-            "n_verified": self.n_verified,
-            "n_retained": self.n_retained,
-            "keep_rate": self.keep_rate,
-            "per_prompt_kept": self.per_prompt_kept,
-        }
 
 
 def sample_and_filter(model: Model, prompts, verify_fn,
@@ -142,9 +118,6 @@ def rft_train(base_model: Model, filtered_data, loss_spec,
             "filtered dataset is empty; raise n_responses_per_prompt, "
             "sample more prompts, or warm the model further before sampling"
         )
-    cfg_dict = run_config.to_dict()
-    cfg_dict["loss"] = loss_spec.to_dict()
-    config = RunConfig.from_dict(cfg_dict)
-    model, _ = train_run(config, filtered_data, eval_hooks=eval_hooks,
-                         initial_model=base_model)
+    model, _ = train_run(replace(run_config, loss=loss_spec), filtered_data,
+                         eval_hooks=eval_hooks, initial_model=base_model)
     return model

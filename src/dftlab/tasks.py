@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EOS_ID, PAD_ID, check_fields
+from .model import EOS_ID, PAD_ID, Record
 from .seeding import derive_seed
 
 EOS_CHAR = "$"
@@ -90,7 +90,7 @@ def vocabulary_for(task_kind: str) -> Vocabulary:
 
 
 @dataclass
-class Demonstration:
+class Demonstration(Record):
     prompt: str
     response: str
     task: str
@@ -111,7 +111,7 @@ class Demonstration:
 
 
 @dataclass
-class TaskSpec:
+class TaskSpec(Record):
     task_kind: str
     train_difficulty_range: tuple
     ood_difficulty_range: tuple
@@ -130,24 +130,6 @@ class TaskSpec:
     @property
     def vocabulary(self) -> Vocabulary:
         return vocabulary_for(self.task_kind)
-
-    def to_dict(self) -> dict:
-        return {
-            "task_kind": self.task_kind,
-            "train_difficulty_range": list(self.train_difficulty_range),
-            "ood_difficulty_range": list(self.ood_difficulty_range),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaskSpec":
-        check_fields(cls, d)
-        return cls(
-            task_kind=d["task_kind"],
-            train_difficulty_range=tuple(d["train_difficulty_range"]),
-            ood_difficulty_range=tuple(d["ood_difficulty_range"]),
-            seed=d.get("seed", 0),
-        )
 
 
 def default_task_spec(task_kind: str, seed: int = 0) -> TaskSpec:
@@ -317,26 +299,22 @@ def generate_dataset(spec: TaskSpec, n_train: int, n_eval_in: int,
 def save_jsonl(demos, path) -> None:
     with open(path, "w") as f:
         for d in demos:
-            f.write(json.dumps({
-                "prompt": d.prompt,
-                "response": d.response,
-                "task": d.task,
-                "difficulty": d.difficulty,
-            }) + "\n")
+            f.write(json.dumps(d.to_dict()) + "\n")
 
 
 def load_jsonl(path) -> list:
+    """Demonstrations, one JSON object a line; blank lines are skipped.
+
+    A line that is not valid JSON or not a valid Demonstration is a
+    ValueError naming ``path`` and the line number.
+    """
     out = []
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(f, 1):
+            if not line.strip():
                 continue
-            obj = json.loads(line)
-            out.append(Demonstration(
-                prompt=obj["prompt"],
-                response=obj["response"],
-                task=obj["task"],
-                difficulty=int(obj["difficulty"]),
-            ))
+            try:
+                out.append(Demonstration.from_dict(json.loads(line)))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {number}: {exc}") from None
     return out

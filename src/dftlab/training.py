@@ -31,8 +31,7 @@ import numpy as np
 
 from .autodiff import backward
 from .losses import LossSpec, compute_loss
-from .model import (Model, ModelConfig, PAD_ID, batch_token_log_probs, check_fields,
-                    save_checkpoint)
+from .model import Model, ModelConfig, PAD_ID, Record, batch_token_log_probs, save_checkpoint
 from .seeding import derive_seed
 
 
@@ -41,7 +40,7 @@ class TrainingAborted(RuntimeError):
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Record):
     model: ModelConfig
     loss: LossSpec = field(default_factory=LossSpec)
     learning_rate: float = 1e-3
@@ -73,30 +72,6 @@ class RunConfig:
             raise ValueError("need epochs or max_steps")
         if self.max_steps is not None and self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "loss": self.loss.to_dict(),
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "max_steps": self.max_steps,
-            "warmup_ratio": self.warmup_ratio,
-            "schedule": self.schedule,
-            "weight_decay": self.weight_decay,
-            "grad_clip_norm": self.grad_clip_norm,
-            "seed": self.seed,
-            "eval_every": self.eval_every,
-            "output_dir": self.output_dir,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(check_fields(cls, d))
-        d["model"] = ModelConfig.from_dict(d["model"])
-        d["loss"] = LossSpec.from_dict(d.get("loss", {}))
-        return cls(**d)
 
 
 @dataclass

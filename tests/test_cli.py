@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -439,6 +440,49 @@ def test_verify_value_of_wrong_type_exits_one_naming_it(tmp_path, capsys, overri
     assert dispatch(["verify", "--config", cfg, "--set", override]) == 1
     assert repr(override.split("=")[0]) in capsys.readouterr().err
     assert not (tmp_path / "verify" / "verify_report.json").exists()
+
+
+@pytest.mark.parametrize("subcommand,changes,named", [
+    ("eval", {"k": 2.5}, "'k'"),
+    ("eval", {"greedy": "false"}, "'greedy'"),
+    ("eval", {"temperature": "1"}, "'temperature'"),
+    ("eval", {"eval_data": 7}, "'eval_data'"),
+    ("eval", {"output_dir": 3}, "'output_dir'"),
+    ("eval", {"eval_data": "bad.jsonl"}, "bad.jsonl line 2"),
+    ("gen-data", {"n_train": "16"}, "'n_train'"),
+    ("gen-data", {"n_eval_in": 2.9}, "'n_eval_in'"),
+    ("gen-data", {"task": {"task_kind": "sequence-reversal", "train_difficulty_range": 3,
+                           "ood_difficulty_range": [9, 10]}}, "'train_difficulty_range'"),
+    ("train", {"run": dict(MICRO_RUN, model={k: v for k, v in MICRO_MODEL.items()
+                                             if k != "vocab_size"})}, "'vocab_size'"),
+    ("figures", {"sweep_batch_sizes": [2.5]}, "'sweep_batch_sizes'"),
+    ("train", {"eval_prompt_cap": -1}, "'eval_prompt_cap'"),
+], ids=["eval-k-float", "eval-greedy-str", "eval-temperature-str", "eval-data-int",
+        "output-dir-int", "eval-data-bad-line", "gen-data-n-train-str", "gen-data-n-eval-float",
+        "task-range-int", "model-without-vocab-size", "figures-batch-float",
+        "negative-prompt-cap"])
+def test_value_of_wrong_type_or_missing_exits_one_naming_it(tmp_path, workspace,
+                                                            warm_checkpoint, capsys,
+                                                            monkeypatch, subcommand,
+                                                            changes, named):
+    _, data_dir = workspace
+    ckpt, prompts = warm_checkpoint
+    monkeypatch.chdir(tmp_path)
+    with open(prompts) as f:
+        (tmp_path / "bad.jsonl").write_text(f.read() + "[1, 2]\n")
+    config = {
+        "checkpoint": ckpt, "eval_data": prompts,
+        "task": {"task_kind": "sequence-reversal", "train_difficulty_range": [3, 4],
+                 "ood_difficulty_range": [9, 10]},
+        "n_train": 4, "n_eval_in": 1, "n_eval_ood": 1,
+        "run": MICRO_RUN, "train_data": str(data_dir / "train.jsonl"),
+        "eval_in": str(data_dir / "eval_in.jsonl"), "eval_k": 1,
+        "output_dir": "out", **changes,
+    }
+    assert dispatch([subcommand, "--config", write_config(tmp_path / "c.json", config)]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert set(os.listdir("out") if os.path.isdir("out") else []) <= {"effective_config.json"}
 
 
 @pytest.mark.parametrize("subcommand", ["eval", "rft-sample", "analyze"])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +18,10 @@ from dftlab.model import (
     sample_batch,
     save_checkpoint,
 )
+from dftlab.losses import LossSpec
+from dftlab.rft import RftConfig
+from dftlab.tasks import Demonstration, TaskSpec
+from dftlab.training import RunConfig
 
 SMALL = ModelConfig(vocab_size=8, d_model=16, n_layers=2, n_heads=2,
                     context_length=16, seed=7)
@@ -41,6 +46,25 @@ def test_config_validation():
         ModelConfig(vocab_size=8, d_model=10, n_heads=4)
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=1)
+    with pytest.raises(ValueError, match="n_heads"):
+        ModelConfig(vocab_size=8, n_heads=0)
+    with pytest.raises(ValueError, match="seed"):
+        ModelConfig(vocab_size=8, seed=-1)
+
+
+@pytest.mark.parametrize("record", [
+    SMALL,
+    RunConfig(model=SMALL, loss=LossSpec(kind="focal", gamma=2.0), learning_rate=3e-3,
+              batch_size=8, epochs=None, max_steps=20, seed=7, eval_every=5),
+    LossSpec(kind="focal", gamma=1.5, reduction="sum"),
+    LossSpec(kind="iw_sft", iw_clip=2.0),
+    RftConfig(n_responses_per_prompt=2, temperature=0.7, seed=9),
+    TaskSpec("addition-scratchpad", (2, 3), (4, 4), seed=5),
+    Demonstration("12+34=", "2+4=6;1+3=4;=46", "addition-scratchpad", 2),
+], ids=["ModelConfig", "RunConfig", "LossSpec-focal", "LossSpec-iw_sft", "RftConfig",
+        "TaskSpec", "Demonstration"])
+def test_record_round_trip(record):
+    assert type(record).from_dict(json.loads(json.dumps(record.to_dict()))) == record
 
 
 def test_causality_by_input_perturbation(small_model):
@@ -405,6 +429,36 @@ def test_checkpoint_rejects_truncated_and_padded_files(tmp_path, small_model):
     path.write_bytes(raw + bytes(64))
     with pytest.raises(ValueError, match=r"model\.ckpt: 64 trailing bytes"):
         load_checkpoint(path)
+
+
+def test_corrupt_checkpoint_loads_or_names_the_path(tmp_path):
+    # every truncation, then single-byte overwrites across the header, the
+    # config and the first parameters, plus one that makes the seed -1
+    path = tmp_path / "fuzz.ckpt"
+    save_checkpoint(Model(ModelConfig(vocab_size=2, d_model=4, n_layers=1, n_heads=2,
+                                      context_length=2, seed=1)), path)
+    raw = path.read_bytes()
+    rng = np.random.default_rng(0)
+    overwrites = list(zip(rng.integers(0, 400, 2000), rng.integers(0, 256, 2000)))
+    overwrites.append((raw.index(b'"seed": 1') + 7, ord("-")))
+
+    def loads_or_names_the_path():
+        try:
+            load_checkpoint(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+
+    fd = os.open(path, os.O_RDWR)
+    try:
+        for pos, byte in overwrites:
+            os.pwrite(fd, bytes([byte]), pos)
+            loads_or_names_the_path()
+            os.pwrite(fd, raw[pos:pos + 1], pos)
+        for size in reversed(range(len(raw))):
+            os.ftruncate(fd, size)
+            loads_or_names_the_path()
+    finally:
+        os.close(fd)
 
 
 def test_failed_save_keeps_the_previous_checkpoint(tmp_path, small_model):

@@ -154,8 +154,6 @@ def test_rft_train_continues_from_base(memorized):
                               model.params["head.b"].data)
 
 
-def test_rft_config_round_trip():
-    cfg = RftConfig(n_responses_per_prompt=2, temperature=0.7, seed=9)
-    assert RftConfig.from_dict(cfg.to_dict()) == cfg
+def test_rft_config_rejects_zero_responses():
     with pytest.raises(ValueError):
         RftConfig(n_responses_per_prompt=0)

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -164,6 +167,22 @@ def test_jsonl_round_trip(tmp_path):
     save_jsonl(train, path)
     loaded = load_jsonl(path)
     assert loaded == train
+
+
+@pytest.mark.parametrize("record,named", [
+    ([1, 2], "JSON object"),
+    ({"prompt": 12, "response": "21", "task": "sequence-reversal", "difficulty": 2}, "'prompt'"),
+    ({"prompt": "ab|", "response": "ba", "task": "sequence-reversal", "difficulty": 2.5},
+     "'difficulty'"),
+    ({"prompt": "ab|", "task": "sequence-reversal", "difficulty": 2}, "'response'"),
+], ids=["not-an-object", "int-prompt", "float-difficulty", "missing-response"])
+def test_load_jsonl_names_the_file_and_line_of_a_bad_record(tmp_path, record, named):
+    path = tmp_path / "data.jsonl"
+    good = {"prompt": "ab|", "response": "ba", "task": "sequence-reversal", "difficulty": 2}
+    path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path} line 2")) as info:
+        load_jsonl(path)
+    assert named in str(info.value)
 
 
 def test_demonstration_rejects_reserved_char():

@@ -285,11 +285,6 @@ def test_training_lowers_implicit_weight_tail():
     assert after["quantiles"]["p99"] < before["quantiles"]["p99"]
 
 
-def test_run_config_round_trip():
-    cfg = run_config(loss=LossSpec(kind="focal", gamma=2.0), eval_every=5)
-    assert RunConfig.from_dict(cfg.to_dict()) == cfg
-
-
 def test_train_rejects_empty_dataset():
     with pytest.raises(ValueError, match="non-empty"):
         train_run(run_config(), [])
