@@ -13,10 +13,15 @@ the positions right after the cached ones, position embeddings start at
 the cached length, each new query attends to every cached key plus the
 new keys up to itself, and the new keys and values are appended to the
 cache in place. A cache skips the graph for the cached positions, so it
-is only accepted on a gradient-free (``detached``) model. ``sample_batch``
-prefills one cache per prompt-length group, then forwards one position
-per still-running row per step, and drops a row from the batch and from
-the cache once it has emitted EOS.
+is only accepted on a gradient-free (``detached``) model. A cache may
+hold several segments, blocks of rows with their own cached length: the
+row-wise layers (embeddings, norms, projections, MLP, head) then run once
+over every row, and only attention runs segment by segment. Every one of
+those layers computes each row on its own, so a row's logits keep their
+bits whichever segments share the step. ``sample_batch`` prefills one
+segment per prompt-length group, then forwards one position per
+still-running row of every group per step, and drops a row from the batch
+and from the cache once it has emitted EOS or reached its group's limit.
 
 Checkpoint file layout (little-endian throughout):
 
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import numbers
 import os
 import struct
@@ -191,35 +197,87 @@ def expected_param_count(config: ModelConfig) -> int:
     return v * d + t * d + layers * (12 * d * d + 13 * d) + 2 * d + d * v + v
 
 
+def _param_table(config: ModelConfig) -> dict:
+    """name -> (shape, init) of every parameter, in canonical order.
+
+    ``init`` is "normal" (N(0, 0.02), drawn from the config's seed in
+    table order), "zeros" or "ones". ``Model`` initialises from this table
+    and ``load_checkpoint`` checks a file's shapes against it.
+    """
+    c = config
+    d, ff = c.d_model, 4 * c.d_model
+    table = {"wte": ((c.vocab_size, d), "normal"), "wpe": ((c.context_length, d), "normal")}
+    for i in range(c.n_layers):
+        p = f"layers.{i}."
+        table[p + "ln1.weight"] = ((d,), "ones")
+        table[p + "ln1.bias"] = ((d,), "zeros")
+        for mat in ("wq", "wk", "wv", "wo"):
+            table[p + "attn." + mat] = ((d, d), "normal")
+        for vec in ("bq", "bk", "bv", "bo"):
+            table[p + "attn." + vec] = ((d,), "zeros")
+        table[p + "ln2.weight"] = ((d,), "ones")
+        table[p + "ln2.bias"] = ((d,), "zeros")
+        table[p + "mlp.w1"] = ((d, ff), "normal")
+        table[p + "mlp.b1"] = ((ff,), "zeros")
+        table[p + "mlp.w2"] = ((ff, d), "normal")
+        table[p + "mlp.b2"] = ((d,), "zeros")
+    table["lnf.weight"] = ((d,), "ones")
+    table["lnf.bias"] = ((d,), "zeros")
+    table["head.w"] = ((d, c.vocab_size), "normal")
+    table["head.b"] = ((c.vocab_size,), "zeros")
+    return table
+
+
 class KVCache:
     """Keys and values of the positions a model has already forwarded.
 
-    One (keys, values) pair per layer, each (batch, heads, length,
-    head_dim). ``Model.forward(ids, cache)`` appends the new positions;
-    ``keep(rows)`` drops every other batch row from every layer.
+    The cache's batch rows fall into segments: runs of consecutive rows
+    that share one cached length. Sampling makes one segment per
+    prompt-length group. A segment is a list with one (keys, values) pair
+    per layer, each (rows, heads, length, head_dim). A fresh cache has no
+    segments, and its first forward opens one. ``KVCache.join`` stacks
+    caches' segments, in order, into one cache. ``Model.forward(ids,
+    cache)`` appends the new positions to every segment; ``keep(mask)``
+    drops the unmasked rows, and a segment left without rows.
     """
 
-    def __init__(self):
-        self.layers: list = []
+    def __init__(self, segments=()):
+        self.segments: list = list(segments)
+
+    @classmethod
+    def join(cls, caches) -> "KVCache":
+        return cls(segment for cache in caches for segment in cache.segments)
 
     @property
-    def length(self) -> int:
-        return self.layers[0][0].shape[2] if self.layers else 0
+    def lengths(self) -> list:
+        return [seg[0][0].shape[2] if seg else 0 for seg in self.segments]
 
-    def keep(self, rows) -> None:
-        self.layers = [(k[rows], v[rows]) for k, v in self.layers]
+    @property
+    def rows(self) -> list:
+        return [seg[0][0].shape[0] for seg in self.segments]
 
-    def extend(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple:
-        """Append one layer's new keys and values; returns all of them."""
-        if layer == len(self.layers):
-            self.layers.append((k, v))
+    def keep(self, mask) -> None:
+        """Keep the rows where the boolean ``mask`` (one entry a row) is true."""
+        kept, lo = [], 0
+        for seg in self.segments:
+            n = seg[0][0].shape[0]
+            rows, lo = mask[lo:lo + n], lo + n
+            left = np.count_nonzero(rows)
+            if left == n:
+                kept.append(seg)
+            elif left:
+                kept.append([(k[rows], v[rows]) for k, v in seg])
+        self.segments = kept
+
+    def extend(self, segment: int, layer: int, k: np.ndarray, v: np.ndarray) -> tuple:
+        """Append one segment's new keys and values at one layer; returns all of them."""
+        seg = self.segments[segment]
+        if layer == len(seg):
+            seg.append((k, v))
         else:
-            old_k, old_v = self.layers[layer]
-            self.layers[layer] = (
-                np.concatenate([old_k, k], axis=2),
-                np.concatenate([old_v, v], axis=2),
-            )
-        return self.layers[layer]
+            old_k, old_v = seg[layer]
+            seg[layer] = (np.concatenate([old_k, k], axis=2), np.concatenate([old_v, v], axis=2))
+        return seg[layer]
 
 
 class Model:
@@ -233,40 +291,10 @@ class Model:
 
     def _init_params(self):
         rng = np.random.default_rng(self.config.seed)
-        c = self.config
-        d, ff = c.d_model, 4 * c.d_model
-
-        def w(name, shape):
-            self.params[name] = Tensor(
-                rng.normal(0.0, 0.02, size=shape), requires_grad=True
-            )
-
-        def zeros(name, shape):
-            self.params[name] = Tensor(np.zeros(shape), requires_grad=True)
-
-        def ones(name, shape):
-            self.params[name] = Tensor(np.ones(shape), requires_grad=True)
-
-        w("wte", (c.vocab_size, d))
-        w("wpe", (c.context_length, d))
-        for i in range(c.n_layers):
-            p = f"layers.{i}."
-            ones(p + "ln1.weight", (d,))
-            zeros(p + "ln1.bias", (d,))
-            for mat in ("wq", "wk", "wv", "wo"):
-                w(p + "attn." + mat, (d, d))
-            for vec in ("bq", "bk", "bv", "bo"):
-                zeros(p + "attn." + vec, (d,))
-            ones(p + "ln2.weight", (d,))
-            zeros(p + "ln2.bias", (d,))
-            w(p + "mlp.w1", (d, ff))
-            zeros(p + "mlp.b1", (ff,))
-            w(p + "mlp.w2", (ff, d))
-            zeros(p + "mlp.b2", (d,))
-        ones("lnf.weight", (d,))
-        zeros("lnf.bias", (d,))
-        w("head.w", (d, c.vocab_size))
-        zeros("head.b", (c.vocab_size,))
+        init = {"normal": lambda shape: rng.normal(0.0, 0.02, size=shape),
+                "zeros": np.zeros, "ones": np.ones}
+        self.params = {name: Tensor(init[kind](shape), requires_grad=True)
+                       for name, (shape, kind) in _param_table(self.config).items()}
 
     def named_parameters(self):
         return list(self.params.items())
@@ -307,18 +335,23 @@ class Model:
         """Logits (batch, length, vocab) for a (batch, length) int matrix.
 
         Causal: position t sees tokens at positions <= t only. With a
-        ``cache``, ``token_ids`` continue the cached positions and the
-        cache grows by ``length``; the model must be gradient-free.
+        ``cache``, each row of ``token_ids`` continues its segment's cached
+        positions and every segment grows by ``length``; the model must be
+        gradient-free. Row-wise layers run once over all rows; attention
+        runs once per segment.
         """
         ids = np.asarray(token_ids)
         if ids.ndim != 2:
             raise ValueError(f"forward expects a 2-D id matrix, got shape {ids.shape}")
         b, t = ids.shape
         c = self.config
-        start = 0 if cache is None else cache.length
-        if start + t > c.context_length:
+        if cache is None or not cache.segments:
+            starts, rows = [0], [b]
+        else:
+            starts, rows = cache.lengths, cache.rows
+        if max(starts) + t > c.context_length:
             raise ValueError(
-                f"sequence length {start + t} exceeds context_length {c.context_length}"
+                f"sequence length {max(starts) + t} exceeds context_length {c.context_length}"
             )
         if t == 0:
             raise ValueError("forward on empty sequence")
@@ -327,17 +360,33 @@ class Model:
                 f"token id out of vocab (size {c.vocab_size}): "
                 f"range [{ids.min()}, {ids.max()}]"
             )
-        if cache is not None and any(w.requires_grad for w in self.params.values()):
-            raise ValueError(
-                "a K/V cache bypasses autodiff; forward it on model.detached()"
-            )
+        if sum(rows) != b:
+            raise ValueError(f"{b} id rows for a cache of {sum(rows)} rows")
+        if cache is not None:
+            if any(w.requires_grad for w in self.params.values()):
+                raise ValueError(
+                    "a K/V cache bypasses autodiff; forward it on model.detached()"
+                )
+            if not cache.segments:
+                cache.segments.append([])
         p = self.params
         h = c.n_heads
         hd = c.d_model // h
 
-        x = add(embedding(p["wte"], ids), embedding(p["wpe"], np.arange(start, start + t)))
+        if len(starts) == 1:
+            positions = np.arange(starts[0], starts[0] + t)
+        else:  # each segment's rows at that segment's positions
+            positions = np.repeat(starts, rows)[:, None] + np.arange(t)
+        x = add(embedding(p["wte"], ids), embedding(p["wpe"], positions))
         # One new position sees every cached one: no entry to mask.
-        causal = ~np.tril(np.ones((t, start + t), dtype=bool), k=start) if t > 1 else None
+        masks = ([~np.tril(np.ones((t, start + t), dtype=bool), k=start) for start in starts]
+                 if t > 1 else [None] * len(starts))
+
+        def attend(q, k, v, causal):
+            att = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
+            if causal is not None:
+                att = mask_fill(att, causal, _MASK_FILL_VALUE)
+            return matmul(softmax(att), v)
 
         for i in range(c.n_layers):
             pre = f"layers.{i}."
@@ -350,12 +399,17 @@ class Model:
             q = heads("wq", "bq")
             k = heads("wk", "bk")
             v = heads("wv", "bv")
-            if cache is not None:
-                k, v = map(Tensor, cache.extend(i, k.data, v.data))
-            att = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-            if causal is not None:
-                att = mask_fill(att, causal, _MASK_FILL_VALUE)
-            out = matmul(softmax(att), v)
+            if len(rows) == 1:
+                if cache is not None:
+                    k, v = map(Tensor, cache.extend(0, i, k.data, v.data))
+                out = attend(q, k, v, masks[0])
+            else:
+                parts, lo = [], 0
+                for s, (n, mask) in enumerate(zip(rows, masks)):
+                    ks, vs = cache.extend(s, i, k.data[lo:lo + n], v.data[lo:lo + n])
+                    parts.append(attend(Tensor(q.data[lo:lo + n]), Tensor(ks), Tensor(vs), mask).data)
+                    lo += n
+                out = Tensor(np.concatenate(parts))
             out = reshape(transpose(out, (0, 2, 1, 3)), (b, t, c.d_model))
             out = add(matmul(out, p[pre + "attn.wo"]), p[pre + "attn.bo"])
             x = add(x, out)
@@ -427,15 +481,17 @@ def sample_batch(
 ) -> list:
     """Sample one completion per prompt, each from its own seeded stream.
 
-    Prompts are grouped by length so rows stay position-aligned (the model
-    has no pad-aware attention); per-prompt streams make the output
-    independent of grouping. Each group prefills one K/V cache with its
-    prompts, then forwards one new position per running row per step; a
-    row that emits EOS leaves the batch and the cache. Unless greedy, each
-    running row draws one ``random()`` from its own stream per step, in
-    row order, and the step's tokens come from one ``inverse_cdf`` call.
-    An empty prompt, or one of ``context_length`` tokens or more, is a
-    ValueError.
+    Prompts are grouped by length so each group stays position-aligned
+    (the model has no pad-aware attention); per-prompt streams make the
+    output independent of grouping. Each group prefills its own K/V cache
+    segment; then one step loop forwards one new position for every
+    running row of every group at once. A row leaves the batch and the
+    cache once it has emitted EOS or its group has reached its limit,
+    ``min(max_new, context_length - prompt length)`` new tokens. Unless
+    greedy, each running row draws one ``random()`` from its own stream
+    per step, in row order, and the step's tokens come from one
+    ``inverse_cdf`` call. An empty prompt, or one of ``context_length``
+    tokens or more, is a ValueError.
     """
     if len(prompts) != len(seeds):
         raise ValueError("prompts and seeds must align")
@@ -445,38 +501,50 @@ def sample_batch(
         if not 0 < len(prompt) < model.config.context_length:
             raise ValueError(f"prompt {i} has {len(prompt)} tokens; sampling needs 1 "
                              f"to context_length - 1 ({model.config.context_length - 1})")
+    if not prompts:
+        return []
 
     net = model.detached()
-    results: list = [None] * len(prompts)
     by_len: dict[int, list] = {}
     for idx, prompt in enumerate(prompts):
         by_len.setdefault(len(prompt), []).append(idx)
+    groups = sorted(by_len.items())
 
-    for plen, indices in sorted(by_len.items()):
-        step = np.array([prompts[i] for i in indices], dtype=np.int64)
-        rngs = [np.random.default_rng(seeds[i]) for i in indices]
-        outs = [[] for _ in indices]
-        live = np.arange(len(indices))  # group rows still sampling, in row order
-        cache = KVCache()
-        limit = min(max_new, model.config.context_length - plen)
-        for _ in range(limit):
-            logits = net.forward(step, cache).data[:, -1, :]
-            if greedy:
-                tokens = np.argmax(logits, axis=-1)
-            else:
-                u = np.array([rngs[r].random() for r in live])
-                tokens = inverse_cdf(softmax(Tensor(logits / temperature)).data, u)
-            for r, token in zip(live, tokens):
-                outs[r].append(int(token))
-            running = tokens != EOS_ID
-            if not running.any():
-                break
-            if not running.all():
-                live, tokens = live[running], tokens[running]
-                cache.keep(running)
-            step = tokens[:, None]
-        for r, idx in enumerate(indices):
-            results[idx] = outs[r]
+    caches, logits = [], []
+    for plen, indices in groups:  # one prefill, and one cache segment, per group
+        caches.append(KVCache())
+        prefill = np.array([prompts[i] for i in indices], dtype=np.int64)
+        logits.append(net.forward(prefill, caches[-1]).data[:, -1, :])
+    cache = KVCache.join(caches)
+    del caches  # so that the rows the joined cache drops are freed
+    logits = np.concatenate(logits)
+    order = [idx for _, indices in groups for idx in indices]  # prompt index of each row
+    group_limits = [min(max_new, model.config.context_length - plen) for plen, _ in groups]
+    limits = np.repeat(group_limits, [len(indices) for _, indices in groups])
+    stops = set(group_limits)
+    rngs = [np.random.default_rng(seeds[i]) for i in order]
+    outs = [[] for _ in order]
+    live = np.arange(len(order))  # rows still sampling, in row order
+    for step in range(1, max(group_limits) + 1):
+        if greedy:
+            tokens = np.argmax(logits, axis=-1)
+        else:
+            u = np.array([rngs[r].random() for r in live])
+            tokens = inverse_cdf(softmax(Tensor(logits / temperature)).data, u)
+        for r, token in zip(live, tokens):
+            outs[r].append(int(token))
+        running = tokens != EOS_ID
+        if step in stops:  # a group reaches its limit: its rows leave
+            running &= limits[live] > step
+        if not running.any():
+            break
+        if not running.all():
+            live, tokens = live[running], tokens[running]
+            cache.keep(running)
+        logits = net.forward(tokens[:, None], cache).data[:, -1, :]
+    results: list = [None] * len(prompts)
+    for r, idx in enumerate(order):
+        results[idx] = outs[r]
     return results
 
 
@@ -551,34 +619,34 @@ def load_checkpoint(path) -> Model:
         config = ModelConfig.from_dict(json.loads(take(cfg_len).decode()))
     except ValueError as exc:
         raise ValueError(f"{path}: bad config: {exc}") from None
-    model = Model(config)
+    table = _param_table(config)
     (n_params,) = struct.unpack("<I", take(4))
-    loaded = set()
+    loaded = {}
     for _ in range(n_params):
         (name_len,) = struct.unpack("<I", take(4))
         name = take(name_len).decode(errors="replace")
         (ndim,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        if name not in model.params:
+        if name not in table:
             raise ValueError(f"{path}: unknown parameter {name!r}")
         if name in loaded:
             raise ValueError(f"{path}: parameter {name!r} appears twice")
-        if model.params[name].data.shape != shape:
+        if table[name][0] != shape:
             raise ValueError(
                 f"{path}: shape {shape} for {name!r} does not match config"
             )
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(count * 8), dtype="<f8").reshape(shape)
-        model.params[name] = Tensor(data.copy(), requires_grad=True)
-        loaded.add(name)
+        data = np.frombuffer(take(math.prod(shape) * 8), dtype="<f8").reshape(shape)
+        loaded[name] = Tensor(data.copy(), requires_grad=True)
     if pos != len(raw):
         raise ValueError(
             f"{path}: {len(raw) - pos} trailing bytes after the last parameter"
         )
-    missing = [name for name in model.params if name not in loaded]
+    missing = [name for name in table if name not in loaded]
     if missing:
         raise ValueError(
-            f"{path}: missing {len(missing)} of {len(model.params)} parameters: "
+            f"{path}: missing {len(missing)} of {len(table)} parameters: "
             f"{', '.join(missing)}"
         )
+    model = Model(config, _init=False)
+    model.params = {name: loaded[name] for name in table}
     return model

@@ -305,8 +305,9 @@ def save_jsonl(demos, path) -> None:
 def load_jsonl(path) -> list:
     """Demonstrations, one JSON object a line; blank lines are skipped.
 
-    A line that is not valid JSON or not a valid Demonstration is a
-    ValueError naming ``path`` and the line number.
+    A line that is not valid JSON or not a valid Demonstration, or whose
+    prompt or response holds a character outside its task's vocabulary,
+    is a ValueError naming ``path`` and the line number.
     """
     out = []
     with open(path) as f:
@@ -314,7 +315,9 @@ def load_jsonl(path) -> list:
             if not line.strip():
                 continue
             try:
-                out.append(Demonstration.from_dict(json.loads(line)))
+                demo = Demonstration.from_dict(json.loads(line))
+                vocabulary_for(demo.task).tokenize(demo.prompt + demo.response)
+                out.append(demo)
             except ValueError as exc:
                 raise ValueError(f"{path} line {number}: {exc}") from None
     return out

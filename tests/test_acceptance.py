@@ -36,6 +36,8 @@ from dftlab.theory import (
 from dftlab.training import AdamState, RunConfig, adamw_step, lr_at, train_run
 from helpers import dft_reference_grad, directional_fd, vec_rel_err
 
+pytestmark = pytest.mark.acceptance
+
 
 def report(num, desc, ok, detail=""):
     line = f"ACCEPTANCE {num:>2} [{'PASS' if ok else 'FAIL'}] {desc}"

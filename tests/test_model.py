@@ -291,8 +291,31 @@ def test_cached_steps_match_full_forward_with_rows_dropped(small_model):
             rows = rows[keep]
             cache.keep(keep)
         got = net.forward(seqs[rows, pos:pos + 1], cache).data
-        assert cache.length == pos + 1
+        assert cache.lengths == [pos + 1]
         assert np.max(np.abs(got[:, 0] - full[rows, pos])) <= 1e-12, pos
+
+
+def test_joined_cache_forward_equals_each_segment_alone_bit_for_bit(small_model):
+    net = small_model.detached()
+    rng = np.random.default_rng(6)
+    prompts = [rng.integers(2, SMALL.vocab_size, size=(3, 4)),
+               rng.integers(2, SMALL.vocab_size, size=(2, 7))]
+    alone, parts = [KVCache(), KVCache()], [KVCache(), KVCache()]
+    for ids, a, p in zip(prompts, alone, parts):
+        net.forward(ids, a)
+        net.forward(ids, p)
+    joined = KVCache.join(parts)
+    for t in (1, 2, 1):
+        step = rng.integers(2, SMALL.vocab_size, size=(5, t))
+        got = net.forward(step, joined).data
+        want = np.concatenate([net.forward(step[:3], alone[0]).data,
+                               net.forward(step[3:], alone[1]).data])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), t
+    assert joined.lengths == [8, 11] and joined.rows == [3, 2]
+    joined.keep(np.array([False, False, False, True, False]))
+    assert joined.lengths == [11] and joined.rows == [1]
+    with pytest.raises(ValueError, match="2 id rows for a cache of 1 rows"):
+        net.forward(step[:2], joined)
 
 
 def test_cache_needs_a_gradient_free_model(small_model):
@@ -382,6 +405,50 @@ def test_finished_rows_stop_reaching_forward(small_model, monkeypatch):
     expected = sum(len(p) for p in prompts) + sum(len(c) - 1 for c in out)
     assert sum(forwarded) == expected
     assert len({len(c) for c in out}) > 1
+
+
+def test_sample_batch_steps_every_length_group_in_one_forward(small_model, monkeypatch):
+    shapes = []
+    original = Model.forward
+
+    def counting(self, ids, cache=None):
+        shapes.append(np.asarray(ids).shape)
+        return original(self, ids, cache)
+
+    monkeypatch.setattr(Model, "forward", counting)
+    prompts = [[2, 3]] * 3 + [[4, 5, 6, 7]] * 2 + [[3, 2, 5, 4, 6, 7]] * 3
+    out = sample_batch(small_model, prompts, 10, 1.0, list(range(len(prompts))))
+    longest = [max(len(c) for c in out[lo:hi]) for lo, hi in ((0, 3), (3, 5), (5, 8))]
+    assert sorted(longest)[1] > 1  # at least two groups step together
+    # one prefill per group, then one forward per step of the longest-running
+    # group, not one per group
+    assert shapes[:3] == [(3, 2), (2, 4), (3, 6)]
+    assert len(shapes) == 3 + max(longest) - 1
+    assert all(t == 1 for _, t in shapes[3:])
+
+
+@pytest.mark.parametrize("greedy", [False, True])
+def test_longer_prompts_reaching_the_context_leave_while_shorter_ones_sample(greedy):
+    model = Model(SMALL)
+    model.params["head.b"].data[EOS_ID] = -30.0  # no row ends early
+    rng = np.random.default_rng(3)
+    prompts = [list(rng.integers(2, SMALL.vocab_size, size=n)) for n in (13, 2, 13, 5, 2, 9)]
+    seeds = list(range(200, 200 + len(prompts)))
+    got = sample_batch(model, prompts, 12, 0.7, seeds, greedy)
+    assert got == full_prefix_sample_batch(model, prompts, 12, 0.7, seeds, greedy)
+    # every group runs to min(max_new, context_length - prompt length)
+    assert [len(c) for c in got] == [3, 12, 3, 11, 12, 7]
+
+
+def test_a_group_ending_at_eos_leaves_while_the_others_sample(small_model):
+    prompts = [[2, 3], [5, 4], [4, 5, 6], [6, 2, 3], [3, 3, 7, 2, 5], [7, 6, 5, 4, 3]]
+    seeds = list(range(6))
+    got = sample_batch(small_model, prompts, 12, 1.0, seeds)
+    assert got == full_prefix_sample_batch(small_model, prompts, 12, 1.0, seeds)
+    # the middle group (3 tokens) ends at EOS mid-loop; both others go on
+    middle = got[2:4]
+    assert all(c[-1] == EOS_ID for c in middle) and max(map(len, middle)) > 2
+    assert min(max(map(len, got[:2])), max(map(len, got[4:]))) > max(map(len, middle))
 
 
 # --- checkpoints ---

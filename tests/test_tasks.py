@@ -175,7 +175,12 @@ def test_jsonl_round_trip(tmp_path):
     ({"prompt": "ab|", "response": "ba", "task": "sequence-reversal", "difficulty": 2.5},
      "'difficulty'"),
     ({"prompt": "ab|", "task": "sequence-reversal", "difficulty": 2}, "'response'"),
-], ids=["not-an-object", "int-prompt", "float-difficulty", "missing-response"])
+    ({"prompt": "xyz|", "response": "zyx", "task": "sequence-reversal", "difficulty": 3},
+     "character 'x' not in vocabulary"),
+    ({"prompt": "ab|", "response": "bA", "task": "sequence-reversal", "difficulty": 2},
+     "character 'A' not in vocabulary"),
+], ids=["not-an-object", "int-prompt", "float-difficulty", "missing-response",
+        "prompt-char-outside-vocab", "response-char-outside-vocab"])
 def test_load_jsonl_names_the_file_and_line_of_a_bad_record(tmp_path, record, named):
     path = tmp_path / "data.jsonl"
     good = {"prompt": "ab|", "response": "ba", "task": "sequence-reversal", "difficulty": 2}
