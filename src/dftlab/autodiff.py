@@ -5,6 +5,13 @@ Every operation records an OpNode linking its input tensors to its output;
 ComputationRecord (topological order) and runs each node's backward rule
 exactly once.
 
+Primitives: ``add``, ``mul``, ``matmul``, ``softmax``,
+``scaled_masked_softmax`` (attention scores: ``softmax`` of ``mask_fill``
+of ``scale``, fused into one node), ``log``, ``exp``, ``gather``,
+``tensor_sum``, ``tensor_mean``, ``layer_norm``, ``gelu``, ``transpose``,
+``reshape``, ``embedding``, ``scale``, ``mask_fill``, ``pow_const`` and
+``stop_gradient``.
+
 Conventions
 
 * All values are 64-bit floats. Integer index arrays (gather, embedding)
@@ -37,6 +44,18 @@ Conventions
   ufunc reductions (``np.add.reduce``) directly: ``.mean``, ``.max`` and
   ``.sum`` run the same loops behind extra Python wrappers, so every
   result keeps its bits.
+* ``gelu``, ``softmax``, ``scaled_masked_softmax`` and ``layer_norm`` are
+  blocked kernels, forward and backward: a large C-contiguous input is
+  cut into leading-axis views of at most ``BLOCK_ELEMS`` (32K) elements,
+  whole rows each, and every block is computed through ``out=`` buffers
+  made once per call, so the temporaries stay in cache. Each element
+  keeps the formula's operation order (``(x*x)*x``, ``0.5*x*(1+t)``, the
+  same ufunc reductions along the last axis, a mean as ``add.reduce / n``),
+  and sums over rows carry on from block to block in row order, so every
+  result has the bits of the unblocked formula. Blocks are views of the
+  input as it is laid out, never of a contiguous copy: a copy of a
+  transposed array reduces in another order. An input that fits in one
+  block, or is not C-contiguous, runs as one block on the arrays as given.
 """
 
 from __future__ import annotations
@@ -48,6 +67,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 LOG_FLOOR = 1e-12
+BLOCK_ELEMS = 1 << 15  # 256 KB of float64: a blocked kernel's working set fits in L2
 
 
 def _as_array(data) -> np.ndarray:
@@ -244,6 +264,34 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
         ) from None
 
 
+def _blocked(kernel: Callable, inputs: tuple, out_shapes: tuple, scratch: int = 0,
+             trailing: int = 1) -> tuple:
+    """Run ``kernel(*inputs, *outputs, *buffers)`` block by block; return the outputs.
+
+    Every array shares the leading axes of ``inputs[0]``. A block is a run
+    of whole slabs over the last ``trailing`` axes of each array's
+    C-ordered view: at most BLOCK_ELEMS elements of ``inputs[0]``, or one
+    slab. The outputs (``out_shapes``) and ``scratch`` buffers shaped like
+    a block of ``inputs[0]`` are made once per call. When ``inputs[0]``
+    fits in one block, or some input is not C-contiguous, the kernel runs
+    once on the inputs as they are, with None for every output and buffer:
+    numpy then allocates each as the plain formula would, and a copy,
+    which would reduce the rows in another order, is never made.
+    """
+    x = inputs[0]
+    if x.size <= BLOCK_ELEMS or not all(a.flags.c_contiguous for a in inputs):
+        return kernel(*inputs, *(None,) * (len(out_shapes) + scratch))
+    outputs = tuple(np.empty(shape) for shape in out_shapes)
+    views = [a.reshape((-1,) + a.shape[a.ndim - trailing:]) for a in inputs + outputs]
+    rows = len(views[0])
+    step = max(1, BLOCK_ELEMS * rows // x.size)
+    buffers = [np.empty((step,) + views[0].shape[1:]) for _ in range(scratch)]
+    for lo in range(0, rows, step):
+        n = min(step, rows - lo)
+        kernel(*[v[lo:lo + n] for v in views], *[b[:n] for b in buffers])
+    return outputs
+
+
 # --- primitives ---
 
 
@@ -294,17 +342,69 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(np.matmul(a.data, b.data), "matmul", (a, b), bw)
 
 
+def _softmax_forward(x, s, shifted) -> tuple:
+    shifted = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True), shifted)
+    s = np.exp(shifted, s)
+    np.divide(s, np.add.reduce(s, axis=-1, keepdims=True), s)
+    return (s,)
+
+
+def _softmax_backward(s, g, gx) -> tuple:
+    # s * (g - sum(g * s)), with gx holding g * s first
+    gx = np.multiply(g, s, gx)
+    np.subtract(g, np.add.reduce(gx, axis=-1, keepdims=True), gx)
+    np.multiply(s, gx, gx)
+    return (gx,)
+
+
 def softmax(x: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, with row-max subtraction."""
-    shifted = x.data - np.maximum.reduce(x.data, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / np.add.reduce(e, axis=-1, keepdims=True)
+    (s,) = _blocked(_softmax_forward, (x.data,), (x.shape,), scratch=1)
 
     def bw(g):
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - inner),)
+        return _blocked(_softmax_backward, (s, g), (s.shape,))
 
     return _make(s, "softmax-rowwise", (x,), bw)
+
+
+def scaled_masked_softmax(x: Tensor, a: float, mask: Optional[np.ndarray] = None,
+                          fill: float = 0.0) -> Tensor:
+    """``softmax(mask_fill(scale(x, a), mask, fill))`` as one op, bit for bit.
+
+    Attention scores in one blocked pass and one graph node. ``mask`` is
+    None or a bool array of shape ``x.shape[-2:]`` (queries, keys), the
+    same for every leading index; its True entries become ``fill`` before
+    the softmax and get zero gradient.
+    """
+    if x.data.ndim < 2:
+        raise ValueError(f"scaled-masked-softmax: input must be at least 2-D, got {x.shape}")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != x.shape[-2:]:
+            raise ValueError(
+                f"scaled-masked-softmax: mask shape {mask.shape} must be {x.shape[-2:]}"
+            )
+
+    def forward(xb, sb, buf):
+        buf = np.multiply(a, xb, buf)
+        np.add(buf, 0.0, buf)  # scale's shift: -0.0 becomes 0.0
+        if mask is not None:
+            np.copyto(buf, fill, where=mask)
+        return _softmax_forward(buf, sb, buf)
+
+    (s,) = _blocked(forward, (x.data,), (x.shape,), scratch=1, trailing=2)
+
+    def bw(g):
+        def backward(sb, gb, gxb):
+            (gxb,) = _softmax_backward(sb, gb, gxb)
+            if mask is not None:
+                np.copyto(gxb, 0.0, where=mask)
+            np.multiply(gxb, a, gxb)
+            return (gxb,)
+
+        return _blocked(backward, (s, g), (s.shape,), trailing=2)
+
+    return _make(s, "scaled-masked-softmax", (x,), bw)
 
 
 def log(x: Tensor) -> Tensor:
@@ -374,40 +474,97 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
             f"must be ({x.shape[-1]},)"
         )
     d = x.shape[-1]
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    centered = x.data - mu
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
+    w = weight.data
+
+    def forward(xb, xhat, out, inv):
+        mu = np.add.reduce(xb, axis=-1, keepdims=True)
+        mu /= d
+        xhat = np.subtract(xb, mu, xhat)  # centered until scaled by inv
+        out = np.multiply(xhat, xhat, out)
+        var = np.add.reduce(out, axis=-1, keepdims=True)
+        var /= d
+        var += eps
+        inv = np.divide(1.0, np.sqrt(var, var), inv)
+        np.multiply(xhat, inv, xhat)
+        np.multiply(w, xhat, out)
+        np.add(out, bias.data, out)
+        return xhat, out, inv
+
+    xhat, out, inv = _blocked(forward, (x.data,), (x.shape, x.shape, x.shape[:-1] + (1,)))
 
     def bw(g):
-        dxhat = g * weight.data
-        term = dxhat - dxhat.mean(axis=-1, keepdims=True)
-        term -= xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
-        gx = inv * term
-        axes = tuple(range(g.ndim - 1))
-        gw = (g * xhat).sum(axis=axes)
-        gb = g.sum(axis=axes)
-        return (gx, gw, gb)
+        gw = None  # sum of g * xhat over the rows of the blocks so far
 
-    return _make(weight.data * xhat + bias.data, "layer-norm", (x, weight, bias), bw)
+        def backward(xhatb, gb, invb, gx, buf):
+            nonlocal gw
+            dxhat = buf = np.multiply(gb, w, buf)
+            m = np.add.reduce(dxhat, axis=-1, keepdims=True)
+            m /= d
+            gx = np.subtract(dxhat, m, gx)
+            np.multiply(dxhat, xhatb, buf)
+            m = np.add.reduce(buf, axis=-1, keepdims=True)
+            m /= d
+            np.multiply(xhatb, m, buf)
+            np.subtract(gx, buf, gx)
+            np.multiply(invb, gx, gx)
+            np.multiply(gb, xhatb, buf)
+            if gw is not None:  # numpy adds rows in order: carry on from the last block
+                buf[0] += gw
+            gw = np.add.reduce(buf, axis=tuple(range(buf.ndim - 1)))
+            return (gx,)
+
+        (gx,) = _blocked(backward, (xhat, g, inv), (g.shape,), scratch=1)
+        return (gx, gw, np.add.reduce(g, axis=tuple(range(g.ndim - 1))))
+
+    return _make(out, "layer-norm", (x, weight, bias), bw)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
+_GELU_3K = 3.0 * _GELU_K
+
+
+def _gelu_forward(x, t, out, buf) -> tuple:
+    # t = tanh(C * (x + K * ((x * x) * x))); out = (0.5 * x) * (1 + t)
+    buf = np.multiply(x, x, buf)
+    np.multiply(buf, x, buf)
+    np.multiply(_GELU_K, buf, buf)
+    np.add(x, buf, buf)
+    np.multiply(_GELU_C, buf, buf)
+    t = np.tanh(buf, t)
+    np.multiply(0.5, x, buf)
+    out = np.add(1.0, t, out)
+    np.multiply(buf, out, out)
+    return t, out
+
+
+def _gelu_backward(x, t, g, gx, du, buf) -> tuple:
+    # g * (0.5 * (1 + t) + ((0.5 * x) * (1 - t * t)) * du),
+    # du = C * (1 + 3K * (x * x))
+    du = np.multiply(x, x, du)
+    np.multiply(_GELU_3K, du, du)
+    np.add(1.0, du, du)
+    np.multiply(_GELU_C, du, du)
+    buf = np.multiply(t, t, buf)
+    np.subtract(1.0, buf, buf)
+    gx = np.multiply(0.5, x, gx)
+    np.multiply(gx, buf, gx)
+    np.multiply(gx, du, gx)
+    np.add(1.0, t, buf)
+    np.multiply(0.5, buf, buf)
+    np.add(buf, gx, buf)
+    np.multiply(g, buf, gx)
+    return (gx,)
 
 
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU."""
-    u = _GELU_C * (x.data + _GELU_K * (x.data * x.data * x.data))
-    t = np.tanh(u)
+    t, out = _blocked(_gelu_forward, (x.data,), (x.shape, x.shape), scratch=1)
 
     def bw(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_K * (x.data * x.data))
-        local = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
-        return (g * local,)
+        return _blocked(_gelu_backward, (x.data, t, g), (x.shape,), scratch=2)
 
-    return _make(0.5 * x.data * (1.0 + t), "gelu", (x,), bw)
+    return _make(out, "gelu", (x,), bw)
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:

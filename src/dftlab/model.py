@@ -67,10 +67,9 @@ from .autodiff import (
     gelu,
     layer_norm,
     log,
-    mask_fill,
     matmul,
     reshape,
-    scale,
+    scaled_masked_softmax,
     softmax,
     transpose,
 )
@@ -383,10 +382,9 @@ class Model:
                  if t > 1 else [None] * len(starts))
 
         def attend(q, k, v, causal):
-            att = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-            if causal is not None:
-                att = mask_fill(att, causal, _MASK_FILL_VALUE)
-            return matmul(softmax(att), v)
+            att = matmul(q, transpose(k, (0, 1, 3, 2)))
+            att = scaled_masked_softmax(att, 1.0 / np.sqrt(hd), causal, _MASK_FILL_VALUE)
+            return matmul(att, v)
 
         for i in range(c.n_layers):
             pre = f"layers.{i}."

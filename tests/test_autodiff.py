@@ -23,6 +23,7 @@ from dftlab.autodiff import (
     pow_const,
     reshape,
     scale,
+    scaled_masked_softmax,
     softmax,
     stop_gradient,
     tensor_mean,
@@ -84,10 +85,54 @@ def _softmax_by_methods(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _softmax_grad_by_methods(s, g):
+    return s * (g - (g * s).sum(axis=-1, keepdims=True))
+
+
 def _layer_norm_by_mean(x, w, b, eps=1e-5):
     centered = x - x.mean(axis=-1, keepdims=True)
     var = np.mean(centered * centered, axis=-1, keepdims=True)
     return w * (centered * (1.0 / np.sqrt(var + eps))) + b
+
+
+def _layer_norm_grads_by_mean(x, w, g, eps=1e-5):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.mean(centered * centered, axis=-1, keepdims=True) + eps)
+    xhat = centered * inv
+    dxhat = g * w
+    term = dxhat - dxhat.mean(axis=-1, keepdims=True)
+    term -= xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
+    axes = tuple(range(g.ndim - 1))
+    return inv * term, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+GELU_C, GELU_K = math.sqrt(2.0 / math.pi), 0.044715
+
+
+def _gelu_by_formula(x):
+    t = np.tanh(GELU_C * (x + GELU_K * (x * x * x)))
+    return 0.5 * x * (1.0 + t)
+
+
+def _gelu_grad_by_formula(x, g):
+    t = np.tanh(GELU_C * (x + GELU_K * (x * x * x)))
+    du = GELU_C * (1.0 + 3.0 * GELU_K * (x * x))
+    return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+
+
+def _grads(f, g, *arrays):
+    """f's output and the grads its inputs get when the output's grad is g."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = f(*leaves)
+    backward(mul(out, Tensor(g)).sum())
+    return out.data, [t.grad for t in leaves]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+BLOCK = 1 << 15  # autodiff.BLOCK_ELEMS, spelled out so a change to it shows here
 
 
 @pytest.mark.parametrize("shape,order", [
@@ -95,19 +140,55 @@ def _layer_norm_by_mean(x, w, b, eps=1e-5):
     ((32, 47, 32), None),
     ((3, 2, 1, 9), None),
     ((32, 6, 12), (2, 1, 0)),
-], ids=["decode-step", "train-batch", "attention", "transposed-view"])
+    ((151, 217), None),
+    ((1024, 32), None),
+    ((99, 331), None),
+    ((7, 97, 211), None),
+    ((300, 1, 130), None),
+    ((16, 2, 20, 57), None),
+], ids=["decode-step", "train-batch", "attention", "transposed-view", "block-minus-1",
+        "block", "block-plus-1", "ragged-blocks", "decode-step-rows", "prefill-mask"])
 def test_reduction_forwards_keep_the_bits_of_the_mean_max_sum_formulas(shape, order):
-    # softmax and layer_norm call the ufunc reductions directly; the
-    # .mean/.max/.sum methods run the same loops, so no bit may move
+    # The blocked kernels (gelu, softmax, layer_norm and the fused attention
+    # softmax, forward and backward) must give the bits of the plain
+    # formulas on every size and layout: below, at and just past one block,
+    # several blocks with a ragged tail, a decode step (rows, 1, n) and a
+    # prefill whose mask is (t, start + t). The formulas' .mean/.max/.sum
+    # run the same loops as the ufunc reductions the kernels call.
+    assert BLOCK - 1 == 151 * 217 and BLOCK == 1024 * 32 and BLOCK + 1 == 99 * 331
     rng = np.random.default_rng(11)
     x = rng.standard_normal(shape) * 3.0
     if order is not None:
         x = x.transpose(order)
         assert not x.flags.c_contiguous
+    g = rng.standard_normal(x.shape)
     w, b = rng.standard_normal(x.shape[-1]), rng.standard_normal(x.shape[-1])
-    got = layer_norm(Tensor(x), Tensor(w), Tensor(b)).data
-    assert got.tobytes() == _layer_norm_by_mean(x, w, b).tobytes()
-    assert softmax(Tensor(x)).data.tobytes() == _softmax_by_methods(x).tobytes()
+
+    out, (gx, gw, gb) = _grads(layer_norm, g, x, w, b)
+    assert _bits(out) == _bits(_layer_norm_by_mean(x, w, b))
+    assert [_bits(a) for a in (gx, gw, gb)] == [
+        _bits(a) for a in _layer_norm_grads_by_mean(x, w, g)]
+
+    s, (gx,) = _grads(softmax, g, x)
+    assert _bits(s) == _bits(_softmax_by_methods(x))
+    assert _bits(gx) == _bits(_softmax_grad_by_methods(s, g))
+
+    out, (gx,) = _grads(gelu, g, x)
+    assert _bits(out) == _bits(_gelu_by_formula(x))
+    assert _bits(gx) == _bits(_gelu_grad_by_formula(x, g))
+
+    t, n = x.shape[-2:]
+    causal = ~np.tril(np.ones((t, n), dtype=bool), k=n - t)
+    for mask in (None, causal):
+        fused, (gx,) = _grads(lambda z: scaled_masked_softmax(z, 0.25, mask, -1e30), g, x)
+
+        def composed(z):
+            z = scale(z, 0.25)
+            return softmax(z if mask is None else mask_fill(z, mask, -1e30))
+
+        want, (want_gx,) = _grads(composed, g, x)
+        assert _bits(fused) == _bits(want)
+        assert _bits(gx) == _bits(want_gx)
 
 
 # --- backward basics ---
@@ -245,6 +326,14 @@ def _fd_cases():
             (rnd(rng, 3, 4), rnd(rng, 4), rnd(rng, 4)),
         )
 
+    def scaled_masked_softmax_case(rng):
+        c = _const(rng, 2, 3, 4)
+        causal = ~np.tril(np.ones((3, 4), dtype=bool), k=1)
+        return (
+            lambda a: mul(scaled_masked_softmax(a, 0.7, causal, -1e30), c).sum(),
+            (rnd(rng, 2, 3, 4),),
+        )
+
     def transpose_case(rng):
         c = _const(rng, 4, 3)
         return lambda a: mul(transpose(a, (1, 0)), c).sum(), (rnd(rng, 3, 4),)
@@ -279,6 +368,7 @@ def _fd_cases():
             (rnd(rng, 2, 3, 4), rnd(rng, 4, 2)),
         ),
         "softmax-rowwise": softmax_case,
+        "scaled-masked-softmax": scaled_masked_softmax_case,
         "log": lambda rng: (
             lambda a: log(a).sum(),
             (Tensor(rng.uniform(0.1, 2.0, (3, 4)), requires_grad=True),),

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +246,64 @@ def test_run_dir_contents_and_manifest(tmp_path, reversal_data):
     rows = (out / "metrics.csv").read_text().splitlines()
     assert rows[0] == "step,lr,loss,mean_p"
     assert len(rows) == 5
+
+
+def test_metrics_jsonl_logs_the_pre_clip_gradient_norm(tmp_path, reversal_data):
+    rows = {}
+    for name, clip in (("tight", 1e-3), ("loose", 1e6), ("off", None)):
+        out = tmp_path / name
+        _, metrics = train_run(run_config(max_steps=3, grad_clip_norm=clip,
+                                          output_dir=str(out)), reversal_data)
+        lines = (out / "metrics.jsonl").read_text().splitlines()
+        rows[name] = [json.loads(line) for line in lines]
+        assert [(r["grad_norm"], r["clipped"]) for r in rows[name]] == [
+            (m.grad_norm, m.clipped) for m in metrics]
+        assert (out / "metrics.csv").read_text().splitlines()[0] == "step,lr,loss,mean_p"
+    assert all(r["clipped"] and r["grad_norm"] > 1e-3 for r in rows["tight"])
+    assert not any(r["clipped"] for r in rows["loose"])
+    # the same init and first batch: the same pre-clip norm, clipped or not
+    assert rows["tight"][0]["grad_norm"] == rows["loose"][0]["grad_norm"]
+    assert all(r["grad_norm"] is None and not r["clipped"] for r in rows["off"])
+
+
+def test_one_graph_is_alive_at_a_time(reversal_data):
+    # Every step trains on the same 16 items, so each graph has one size.
+    # A step drops its graph before the next forward, so four steps peak
+    # where one does; holding it into the next forward read 1.62x here.
+    items = reversal_data[:16]
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            train_run(run_config(max_steps=steps, batch_size=len(items)), items)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4) <= 1.1 * peak(1)
+
+
+def test_training_determinism_golden():
+    # recorded once at the acceptance shape (V=17, d=32, L=2, H=2, batch 32):
+    # three steps of each arm; guards every bit of the forward, the losses,
+    # backward and AdamW, which the logits golden in test_model never reaches
+    spec = default_task_spec("addition-scratchpad", seed=0)
+    train, _, _ = generate_dataset(spec, 64, 4, 4)
+    h = hashlib.sha256()
+    for kind in ("sft", "dft_token", "dft_sequence"):
+        mc = ModelConfig(vocab_size=17, d_model=32, n_layers=2, n_heads=2,
+                         context_length=64, seed=0)
+        cfg = RunConfig(model=mc, loss=LossSpec(kind=kind), learning_rate=3e-3,
+                        batch_size=32, epochs=None, max_steps=3, warmup_ratio=0.1, seed=0)
+        model, metrics = train_run(cfg, train)
+        h.update(np.array([m.loss for m in metrics], dtype="<f8").tobytes())
+        for name, t in model.named_parameters():
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    assert h.hexdigest() == GOLDEN_TRAIN_SHA256
+
+
+GOLDEN_TRAIN_SHA256 = "47e2ae2dc746e03379c4ebaecb9e30b316de82faa02749ea1e96a1047315995f"
 
 
 def test_non_finite_loss_aborts_with_checkpoint(tmp_path, reversal_data):
