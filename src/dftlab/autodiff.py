@@ -386,8 +386,8 @@ def scaled_masked_softmax(x: Tensor, a: float, mask: Optional[np.ndarray] = None
             )
 
     def forward(xb, sb, buf):
+        # no "+ 0.0" as in scale: exp and the row-max shift treat -0.0 and 0.0 alike
         buf = np.multiply(a, xb, buf)
-        np.add(buf, 0.0, buf)  # scale's shift: -0.0 becomes 0.0
         if mask is not None:
             np.copyto(buf, fill, where=mask)
         return _softmax_forward(buf, sb, buf)

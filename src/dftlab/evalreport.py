@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Model, batch_token_log_probs, sample_batch
+from .model import Model, Record, batch_token_log_probs, sample_batch
 from .seeding import derive_seed
 from .tasks import verify, vocabulary_for
-from .training import collate, encode_demonstrations
+from .training import RunConfig, collate, encode_demonstrations
 
 DEFAULT_BIN_EDGES = np.linspace(0.0, 1.0, 21)
 
@@ -37,43 +37,19 @@ REPORT_COLUMNS = (
 
 
 @dataclass
-class EvalResult:
+class EvalResult(Record):
     task_tag: str
     split: str  # "in-dist" or "ood"
     k: int
     temperature: float
-    correctness: list  # prompts x k booleans
     avg_at_k: float = field(init=False)
+    correctness: list[list[bool]]  # prompts x k
 
     def __post_init__(self):
         matrix = np.asarray(self.correctness, dtype=bool)
-        if matrix.ndim != 2 or matrix.shape[1] != self.k:
+        if matrix.ndim != 2 or matrix.shape[1] != self.k or not matrix.size:
             raise ValueError("correctness must be a prompts x k matrix")
         self.avg_at_k = float(matrix.mean())
-
-    def to_dict(self) -> dict:
-        return {
-            "task_tag": self.task_tag,
-            "split": self.split,
-            "k": self.k,
-            "temperature": self.temperature,
-            "avg_at_k": self.avg_at_k,
-            "correctness": [[bool(v) for v in row] for row in self.correctness],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalResult":
-        out = cls(
-            task_tag=d["task_tag"],
-            split=d["split"],
-            k=d["k"],
-            temperature=d["temperature"],
-            correctness=d["correctness"],
-        )
-        stored = d.get("avg_at_k")
-        if stored is not None and abs(stored - out.avg_at_k) > 1e-12:
-            raise ValueError("stored avg_at_k disagrees with correctness matrix")
-        return out
 
 
 def evaluate(model: Model, eval_set, k: int, temperature: float, seed: int,
@@ -110,38 +86,23 @@ def evaluate(model: Model, eval_set, k: int, temperature: float, seed: int,
 
 
 @dataclass
-class ProbHistogram:
-    bin_edges: list
-    counts: list
+class ProbHistogram(Record):
+    bin_edges: list[float]
+    counts: list[int]
+    fractions: list[float] = field(init=False)
     total: int
     model_tag: str
 
     def __post_init__(self):
         edges = np.asarray(self.bin_edges, dtype=np.float64)
-        if edges[0] != 0.0 or edges[-1] != 1.0 or (np.diff(edges) <= 0).any():
+        if edges.size < 2 or edges[0] != 0.0 or edges[-1] != 1.0 or (np.diff(edges) <= 0).any():
             raise ValueError("bin edges must ascend from 0 to 1")
+        if len(self.counts) != edges.size - 1 or min(self.counts) < 0:
+            raise ValueError(f"histogram needs {edges.size - 1} non-negative counts, "
+                             f"got {self.counts}")
         if int(sum(self.counts)) != self.total:
             raise ValueError("histogram counts do not sum to the token total")
-
-    @property
-    def fractions(self) -> list:
-        if self.total == 0:
-            return [0.0] * len(self.counts)
-        return [c / self.total for c in self.counts]
-
-    def to_dict(self) -> dict:
-        return {
-            "bin_edges": [float(e) for e in self.bin_edges],
-            "counts": [int(c) for c in self.counts],
-            "fractions": self.fractions,
-            "total": self.total,
-            "model_tag": self.model_tag,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProbHistogram":
-        return cls(bin_edges=d["bin_edges"], counts=d["counts"],
-                   total=d["total"], model_tag=d["model_tag"])
+        self.fractions = [c / self.total if self.total else 0.0 for c in self.counts]
 
 
 def teacher_forced_probs(model: Model, dataset, batch_size: int = 64):
@@ -172,10 +133,8 @@ def token_histogram(model: Model, dataset, bin_edges=None,
         hist, _ = np.histogram(probs, bins=edges)
         counts += hist
         total += probs.size
-    return ProbHistogram(
-        bin_edges=list(edges), counts=[int(c) for c in counts],
-        total=total, model_tag=model_tag,
-    )
+    return ProbHistogram(bin_edges=edges.tolist(), counts=counts.tolist(),
+                         total=total, model_tag=model_tag)
 
 
 def lowest_bin_tokens(model: Model, dataset, threshold: float) -> list:
@@ -197,53 +156,53 @@ def lowest_bin_tokens(model: Model, dataset, threshold: float) -> list:
 
 
 def _final_train_loss(run_dir: str):
-    path = os.path.join(run_dir, "metrics.csv")
-    with open(path) as f:
-        rows = list(csv.DictReader(f))
-    return float(rows[-1]["loss"]) if rows else None
+    with open(os.path.join(run_dir, "metrics.csv")) as f:
+        rows = list(csv.DictReader(f, restval=""))
+    try:
+        return float(rows[-1]["loss"]) if rows else None
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"metrics.csv: last row has no numeric loss ({exc})") from exc
 
 
-def _eval_accuracy(run_dir: str, split: str):
-    path = os.path.join(run_dir, f"eval_{split}.json")
-    if not os.path.exists(path):
-        return None
-    with open(path) as f:
-        return EvalResult.from_dict(json.load(f)).avg_at_k
+def _load(run_dir: str, name: str, record):
+    """Decode one run file through ``record.from_dict``; a decoding error
+    names the file."""
+    with open(os.path.join(run_dir, name)) as f:
+        try:
+            return record.from_dict(json.load(f))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from exc
 
 
-def _histogram_summary(run_dir: str):
-    path = os.path.join(run_dir, "histogram.json")
-    if not os.path.exists(path):
-        return None, None
-    with open(path) as f:
-        hist = ProbHistogram.from_dict(json.load(f))
-    fracs = hist.fractions
-    return fracs[0], fracs[-1]
+def _load_optional(run_dir: str, name: str, record):
+    return _load(run_dir, name, record) if os.path.exists(os.path.join(run_dir, name)) else None
 
 
 def comparison_report(run_dirs) -> dict:
     """Consolidate run directories into rows plus an error list.
 
     A directory missing individual artifacts still yields a row with
-    explicit None fields; one that cannot be read at all goes to the
-    errors section and the rest are reported anyway.
+    explicit None fields; one that cannot be read at all, or holds a
+    malformed file, goes to the errors section and the rest are
+    reported anyway.
     """
     rows, errors = [], []
     for run_dir in run_dirs:
         try:
-            with open(os.path.join(run_dir, "config.json")) as f:
-                config = json.load(f)
-            low, high = _histogram_summary(run_dir)
+            config = _load(run_dir, "config.json", RunConfig)
+            hist = _load_optional(run_dir, "histogram.json", ProbHistogram)
+            evals = {split: _load_optional(run_dir, f"eval_{split}.json", EvalResult)
+                     for split in ("in", "ood")}
             rows.append({
                 "run": os.path.basename(os.path.normpath(run_dir)),
-                "loss_kind": config["loss"]["kind"],
-                "in_dist_acc": _eval_accuracy(run_dir, "in"),
-                "ood_acc": _eval_accuracy(run_dir, "ood"),
+                "loss_kind": config.loss.kind,
+                "in_dist_acc": evals["in"] and evals["in"].avg_at_k,
+                "ood_acc": evals["ood"] and evals["ood"].avg_at_k,
                 "final_train_loss": _final_train_loss(run_dir),
-                "hist_low_frac": low,
-                "hist_high_frac": high,
+                "hist_low_frac": hist and hist.fractions[0],
+                "hist_high_frac": hist and hist.fractions[-1],
             })
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             errors.append({"run": str(run_dir), "error": str(exc)})
     return {"rows": rows, "errors": errors}
 

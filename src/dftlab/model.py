@@ -119,7 +119,11 @@ def _to_json(value):
 
 class Record:
     """JSON codec shared by the dataclasses that are read from or written
-    to JSON: configs, task specs and demonstrations."""
+    to JSON: configs, task specs, demonstrations and result records.
+
+    A derived field (``field(init=False)``, set in ``__post_init__``) is
+    written like any other and never passed to the constructor.
+    """
 
     @classmethod
     def from_dict(cls, d):
@@ -129,29 +133,39 @@ class Record:
         wrong type (``"abc"`` or ``2.5`` for an int) is a ValueError naming the
         key instead of a TypeError or a failure mid-run. A nested record is
         built through its own ``from_dict``; a ``tuple`` field takes a list.
+        A stored derived field must equal the value the other fields give.
         """
         if not isinstance(d, dict):
             raise ValueError(f"{cls.__name__} needs a JSON object, got {d!r}")
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"{cls.__name__} has no field {', '.join(map(repr, unknown))}")
-        missing = [f.name for f in fields(cls) if f.name not in d
+        missing = [f.name for f in fields(cls) if f.name not in d and f.init
                    and f.default is MISSING and f.default_factory is MISSING]
         if missing:
             raise ValueError(f"{cls.__name__} is missing field {', '.join(map(repr, missing))}")
         hints = _field_types(cls)
+        derived = [f.name for f in fields(cls) if not f.init and f.name in d]
         kwargs = {}
         for key, value in d.items():
             hint = hints[key]
             if not _fits(hint, value):
                 raise ValueError(f"{cls.__name__} field {key!r} must be {_type_name(hint)}, "
                                  f"got {value!r}")
+            if key in derived:
+                continue
             if isinstance(hint, type) and issubclass(hint, Record):
                 value = hint.from_dict(value)
             elif hint is tuple:
                 value = tuple(value)
             kwargs[key] = value
-        return cls(**kwargs)
+        out = cls(**kwargs)
+        for key in derived:
+            recomputed = _to_json(getattr(out, key))
+            if d[key] != recomputed:
+                raise ValueError(f"{cls.__name__} field {key!r} is {d[key]!r}, but the "
+                                 f"other fields give {recomputed!r}")
+        return out
 
     def to_dict(self) -> dict:
         """Every field, with nested records as objects and tuples as lists."""

@@ -82,7 +82,7 @@ class RunConfig(Record):
 
 
 @dataclass
-class TrainMetrics:
+class TrainMetrics(Record):
     step: int
     lr: float
     loss: float
@@ -254,11 +254,7 @@ class _RunDir:
         if self.csv is None:
             return
         self.csv.write(f"{m.step},{m.lr!r},{m.loss!r},{m.mean_p!r}\n")
-        self.jsonl.write(json.dumps({
-            "step": m.step, "lr": m.lr, "loss": m.loss,
-            "mean_p": m.mean_p, "seconds": m.seconds,
-            "grad_norm": m.grad_norm, "clipped": m.clipped,
-        }) + "\n")
+        self.jsonl.write(json.dumps(m.to_dict()) + "\n")
 
     def eval_result(self, step: int, payload: dict):
         if self.csv is None:

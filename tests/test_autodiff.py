@@ -30,7 +30,7 @@ from dftlab.autodiff import (
     tensor_sum,
     transpose,
 )
-from helpers import analytic_gradients, check_gradients, max_rel_err
+from helpers import check_gradients
 
 
 def rnd(rng, *shape):

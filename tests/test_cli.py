@@ -295,6 +295,48 @@ def test_sweep_and_report(tmp_path, workspace):
     assert (rpt / "comparison.csv").exists()
 
 
+GOOD_EVAL = {"task_tag": "sequence-reversal", "split": "in-dist", "k": 2,
+             "temperature": 1.0, "avg_at_k": 0.5, "correctness": [[True, False]]}
+GOOD_HISTOGRAM = {"bin_edges": [0.0, 0.5, 1.0], "counts": [3, 1], "fractions": [0.75, 0.25],
+                  "total": 4, "model_tag": "m"}
+
+
+@pytest.mark.parametrize("name, payload, named", [
+    ("eval_in.json", [1, 2], "EvalResult needs a JSON object"),
+    ("config.json", {"loss": 3}, "'model'"),
+    ("config.json", dict(MICRO_RUN, loss=3), "LossSpec needs a JSON object, got 3"),
+    ("histogram.json", dict(GOOD_HISTOGRAM, counts="ab"), "'counts'"),
+    ("histogram.json", dict(GOOD_HISTOGRAM, counts=[], fractions=[], total=0), "2 non-negative"),
+    ("eval_ood.json", dict(GOOD_EVAL, k="2"), "'k'"),
+    ("metrics.csv", "step,lr,loss,mean_p\n1\n", "no numeric loss"),
+], ids=["eval-not-an-object", "config-without-model", "loss-not-an-object",
+        "counts-a-string", "counts-empty", "k-a-string", "metrics-row-short"])
+def test_report_lists_a_malformed_run_file_under_errors(tmp_path, capsys, name, payload, named):
+    run_dirs = []
+    for run in ("good", "bad"):
+        d = tmp_path / run
+        d.mkdir()
+        (d / "config.json").write_text(json.dumps(MICRO_RUN))
+        (d / "metrics.csv").write_text("step,lr,loss,mean_p\n1,0.001,2.5,0.25\n")
+        for split in ("in", "ood"):
+            (d / f"eval_{split}.json").write_text(json.dumps(GOOD_EVAL))
+        (d / "histogram.json").write_text(json.dumps(GOOD_HISTOGRAM))
+        run_dirs.append(str(d))
+    bad = payload if isinstance(payload, str) else json.dumps(payload)
+    (tmp_path / "bad" / name).write_text(bad)
+    out = tmp_path / "rpt"
+    rcfg = write_config(tmp_path / "rpt.json", {"run_dirs": run_dirs, "output_dir": str(out)})
+
+    assert dispatch(["report", "--config", rcfg]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "comparison.json").read_text())
+    assert [row["run"] for row in report["rows"]] == ["good"]
+    assert report["rows"][0]["hist_low_frac"] == 0.75
+    (error,) = report["errors"]
+    assert error["run"] == run_dirs[1]
+    assert error["error"].startswith(f"{name}: ") and named in error["error"]
+
+
 # --- figures ---
 
 

@@ -54,6 +54,9 @@ def test_avg_at_k_mean_definition():
     result = EvalResult(task_tag="sequence-reversal", split="in-dist", k=16,
                         temperature=1.0, correctness=[[True] * 8 + [False] * 8])
     assert result.avg_at_k == 0.5
+    with pytest.raises(ValueError, match="prompts x k"):
+        EvalResult(task_tag="sequence-reversal", split="in-dist", k=0, temperature=1.0,
+                   correctness=[[]])
 
 
 def test_evaluate_deterministic(memorized):
@@ -113,6 +116,10 @@ def test_histogram_conservation(addition_bits):
     assert sum(hist.counts) == n_tokens
     recovered = ProbHistogram.from_dict(hist.to_dict())
     assert recovered.counts == hist.counts
+    tampered = hist.to_dict()
+    tampered["fractions"][0] += 0.5
+    with pytest.raises(ValueError, match="fractions"):
+        ProbHistogram.from_dict(tampered)
 
 
 def test_histogram_rejects_bad_edges():
@@ -120,6 +127,12 @@ def test_histogram_rejects_bad_edges():
         ProbHistogram(bin_edges=[0.1, 1.0], counts=[1], total=1, model_tag="")
     with pytest.raises(ValueError, match="sum"):
         ProbHistogram(bin_edges=[0.0, 1.0], counts=[2], total=3, model_tag="")
+    with pytest.raises(ValueError, match="edges"):
+        ProbHistogram(bin_edges=[], counts=[], total=0, model_tag="")
+    with pytest.raises(ValueError, match="1 non-negative counts"):
+        ProbHistogram(bin_edges=[0.0, 1.0], counts=[1, 0], total=1, model_tag="")
+    with pytest.raises(ValueError, match="2 non-negative counts"):
+        ProbHistogram(bin_edges=[0.0, 0.5, 1.0], counts=[-1, 2], total=1, model_tag="")
 
 
 # --- lowest-bin tokens ---

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from dftlab.autodiff import Tensor, gather, log, reshape, softmax
+from dftlab.autodiff import Tensor, log, reshape, softmax
 from dftlab.model import (
     EOS_ID,
     KVCache,
@@ -18,10 +18,11 @@ from dftlab.model import (
     sample_batch,
     save_checkpoint,
 )
+from dftlab.evalreport import EvalResult, ProbHistogram
 from dftlab.losses import LossSpec
-from dftlab.rft import RftConfig
+from dftlab.rft import FilterStats, RftConfig
 from dftlab.tasks import Demonstration, TaskSpec
-from dftlab.training import RunConfig
+from dftlab.training import RunConfig, TrainMetrics
 
 SMALL = ModelConfig(vocab_size=8, d_model=16, n_layers=2, n_heads=2,
                     context_length=16, seed=7)
@@ -61,8 +62,15 @@ def test_config_validation():
     RftConfig(n_responses_per_prompt=2, temperature=0.7, seed=9),
     TaskSpec("addition-scratchpad", (2, 3), (4, 4), seed=5),
     Demonstration("12+34=", "2+4=6;1+3=4;=46", "addition-scratchpad", 2),
+    EvalResult("addition-scratchpad", "ood", 3, 0.7, [[True, False, False], [True, True, False]]),
+    ProbHistogram([0.0, 0.1, 0.95, 1.0], [7, 2, 3], 12, "dft_token"),
+    TrainMetrics(step=3, lr=2.5e-4, loss=1.75, mean_p=0.3, seconds=0.125, grad_norm=4.5,
+                 clipped=True),
+    FilterStats(n_prompts=2, n_samples=8, n_verified=3, n_retained=2, keep_rate=0.375,
+                per_prompt_kept=[2, 0]),
 ], ids=["ModelConfig", "RunConfig", "LossSpec-focal", "LossSpec-iw_sft", "RftConfig",
-        "TaskSpec", "Demonstration"])
+        "TaskSpec", "Demonstration", "EvalResult", "ProbHistogram", "TrainMetrics",
+        "FilterStats"])
 def test_record_round_trip(record):
     assert type(record).from_dict(json.loads(json.dumps(record.to_dict()))) == record
 

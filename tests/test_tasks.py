@@ -1,7 +1,6 @@
 import json
 import re
 
-import numpy as np
 import pytest
 
 from dftlab.model import EOS_ID
