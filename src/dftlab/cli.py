@@ -10,9 +10,16 @@ of the wrong type or a missing required field (each named), and an
 unreadable input file or one with a malformed line (named with its line
 number).
 
+Each subcommand's top-level keys are the fields of one ``Record``
+(``GenDataConfig``, ``PlanConfig`` for ``train``/``sweep``/``figures``,
+``EvalConfig``, ``RftSampleConfig``, ``VerifyCommandConfig``,
+``AnalyzeConfig``, ``ReportConfig``). The config is decoded through it
+before the output directory is made, so a misspelt or mistyped key at
+any depth exits 1 having written nothing.
+
 ``train``, ``sweep`` and ``figures`` read every file the config names,
 build every run's config and check every eval prompt against each run's
-context before the first run trains.
+context and the task's prompt format before the first run trains.
 
 Run ``dftlab <subcommand> --help`` for per-command flags; config schemas
 are documented in the README.
@@ -24,8 +31,7 @@ import argparse
 import json
 import os
 import sys
-import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .evalreport import (
@@ -35,11 +41,12 @@ from .evalreport import (
     token_histogram,
     write_comparison,
 )
-from .model import _fits, _type_name, load_checkpoint
+from .model import Record, load_checkpoint
 from .rft import RftConfig, sample_and_filter
 from .seeding import derive_seed
-from .tasks import TaskSpec, generate_dataset, load_jsonl, save_jsonl, verify
-from .theory import implicit_reward_scan, run_verification
+from .tasks import (TaskSpec, generate_dataset, ground_truth_answer, load_jsonl, save_jsonl,
+                    verify)
+from .theory import VerifyConfig, implicit_reward_scan, run_verification
 from .training import (RunConfig, TrainingAborted, total_steps_for, train_run,
                        warmup_steps_for, write_manifest)
 
@@ -97,8 +104,7 @@ def _load_config(path: str, assignments) -> dict:
     return apply_overrides(config, assignments)
 
 
-def _prepare_dir(config: dict, out_override, required: bool):
-    out = out_override or _path(config, "output_dir", None)
+def _prepare_dir(config: dict, out, required: bool):
     if not out:
         if not required:
             return None
@@ -109,35 +115,87 @@ def _prepare_dir(config: dict, out_override, required: bool):
     return out
 
 
-_REQUIRED = object()
+# --- each subcommand's top-level config keys ---
 
 
-def _value(config: dict, key: str, hint, default=_REQUIRED, minimum=None, what=None):
-    """``config[key]``, or ``default`` when it is absent, once it fits ``hint``.
-
-    ``minimum`` bounds an int, or every item of a list that must then be
-    non-empty. A value that breaks either is a CliError naming ``key``. A
-    number read for a float comes back as a float, as JSON writes 1.0 as 1.
-    """
-    value = config[key] if default is _REQUIRED else config.get(key, default)
-    items = value if isinstance(value, list) else [value]
-    if not _fits(hint, value) or minimum is not None and not (items and min(items) >= minimum):
-        if what is None:
-            what = _type_name(hint)
-            if minimum is not None:
-                what += f" >= {minimum}" if hint is int else f", non-empty, each >= {minimum}"
-        raise CliError(f"{key!r} must be {what}, got {value!r}")
-    base = typing.get_args(hint)[0] if typing.get_origin(hint) is typing.Union else hint
-    if value is not None and float in (base, *typing.get_args(base)):
-        return [float(v) for v in value] if isinstance(value, list) else float(value)
-    return value
+@dataclass(kw_only=True)
+class CommandConfig(Record):
+    output_dir: Optional[str] = None  # --out overrides it
 
 
-def _path(config: dict, key: str, default=_REQUIRED):
-    """A path key's value: a string, since open() reads an int as a file
-    descriptor; ``default`` None makes the key optional."""
-    return _value(config, key, str if default is _REQUIRED else Optional[str], default,
-                  what="a path string")
+@dataclass(kw_only=True)
+class GenDataConfig(CommandConfig):
+    task: TaskSpec
+    n_train: int = 5000
+    n_eval_in: int = 500
+    n_eval_ood: int = 500
+
+
+@dataclass(kw_only=True)
+class PlanConfig(CommandConfig):
+    """``train``, ``sweep`` and ``figures``. Each reads only its own keys and
+    accepts the others, so one config shape serves all three."""
+
+    run: dict  # RunConfig fields, merged with each planned run's changes
+    train_data: str
+    eval_data: Optional[str] = None  # train's learning-curve prompts
+    eval_in: Optional[str] = None
+    eval_ood: Optional[str] = None
+    eval_prompt_cap: int = 0  # 0 keeps every eval prompt
+    eval_k: int = 4
+    eval_temperature: float = 1.0
+    learning_rates: list[float] = field(default_factory=lambda: list(SWEEP_LEARNING_RATES))
+    sweep_learning_rates: Optional[list[float]] = field(
+        default_factory=lambda: list(SWEEP_LEARNING_RATES))
+    sweep_batch_sizes: Optional[list[int]] = field(default_factory=list)
+    sweep_max_steps: Optional[int] = None
+
+    def __post_init__(self):
+        if self.eval_prompt_cap < 0:  # -1 would drop the last item
+            raise ValueError(f"'eval_prompt_cap' must be >= 0, got {self.eval_prompt_cap}")
+        if self.eval_k < 1:
+            raise ValueError(f"'eval_k' must be >= 1, got {self.eval_k}")
+
+
+@dataclass(kw_only=True)
+class EvalConfig(CommandConfig):
+    checkpoint: str
+    eval_data: str
+    split: str = "in"
+    k: int = 16
+    temperature: float = 1.0
+    seed: int = 0
+    greedy: bool = False
+
+    def __post_init__(self):
+        if self.split not in ("in", "ood"):
+            raise ValueError(f"'split' must be 'in' or 'ood', got {self.split!r}")
+
+
+@dataclass(kw_only=True)
+class RftSampleConfig(CommandConfig):
+    checkpoint: str
+    prompts_data: str
+    rft: RftConfig = field(default_factory=RftConfig)
+
+
+@dataclass(kw_only=True)
+class VerifyCommandConfig(CommandConfig, VerifyConfig):
+    """``VerifyConfig`` plus an optional output directory."""
+
+
+@dataclass(kw_only=True)
+class AnalyzeConfig(CommandConfig):
+    checkpoint: str
+    data: str
+    model_tag: Optional[str] = None  # None tags the histogram with the checkpoint's file name
+    bin_edges: Optional[list[float]] = None
+    threshold: float = 0.05
+
+
+@dataclass(kw_only=True)
+class ReportConfig(CommandConfig):
+    run_dirs: list[str] = field(default_factory=list)
 
 
 def _write_json(path: str, payload, **kwargs) -> None:
@@ -147,8 +205,6 @@ def _write_json(path: str, payload, **kwargs) -> None:
 
 def _write_eval(out: str, split: str, model, demos, **kwargs):
     """Evaluate avg@k on one split and write ``eval_{split}.json`` into ``out``."""
-    if split not in ("in", "ood"):
-        raise CliError(f"split must be 'in' or 'ood', got {split!r}")
     result = evaluate(model, demos, split="in-dist" if split == "in" else "ood", **kwargs)
     path = os.path.join(out, f"eval_{split}.json")
     _write_json(path, result.to_dict())
@@ -174,28 +230,30 @@ class _Plan:
     runs: list  # RunConfig per run, in run order
 
 
-def _plan(config: dict, runs, curve_from=None, splits=("in", "ood")) -> _Plan:
+def _plan(cfg: PlanConfig, runs, curve_from=None, splits=("in", "ood")) -> _Plan:
     """Read every file the config names and build every run's config.
 
-    ``runs`` lists (run directory, changes to ``config["run"]``) pairs.
-    A missing or empty file, an unknown key, a bad run value or an eval
-    prompt that a run's context cannot sample from fails here, before
-    the first run trains.
+    ``runs`` lists (run directory, changes to ``cfg.run``) pairs. A missing
+    or empty file, an unknown key, a bad run value, or an eval prompt that
+    the task cannot parse or a run's context cannot sample from fails here,
+    before the first run trains.
     """
-    cap = _value(config, "eval_prompt_cap", int, 0, minimum=0)  # -1 would drop the last item
-    sampling = {"k": _value(config, "eval_k", int, 4, minimum=1),
-                "temperature": _value(config, "eval_temperature", float, 1.0)}
     sets = {}
     for key in dict.fromkeys([curve_from] + [f"eval_{s}" for s in splits]):  # no file read twice
-        path = key and _path(config, key, None)
+        path = key and getattr(cfg, key)
         if path:
-            sets[key] = load_jsonl(path)[: cap or None]
+            sets[key] = load_jsonl(path)[: cfg.eval_prompt_cap or None]
             if not sets[key]:
                 raise CliError(f"{key} {path!r} holds no items")
-    data = load_jsonl(_path(config, "train_data"))
-    base = _value(config, "run", dict)
-    planned = [RunConfig.from_dict(dict(base, **changes, output_dir=run_dir))
+    data = load_jsonl(cfg.train_data)
+    planned = [RunConfig.from_dict(dict(cfg.run, **changes, output_dir=run_dir))
                for run_dir, changes in runs]
+    for key, demos in sets.items():  # the verifier recomputes each answer from its prompt
+        for i, demo in enumerate(demos):
+            try:
+                ground_truth_answer(demo.task, demo.prompt)
+            except ValueError as exc:
+                raise CliError(f"{key} item {i}: {exc}")
     prompt_lengths = {key: [len(d.prompt_ids) for d in demos] for key, demos in sets.items()}
     for run in planned:  # the warmup must fit each run's own step count
         warmup_steps_for(run, total_steps_for(run, len(data)))
@@ -210,7 +268,7 @@ def _plan(config: dict, runs, curve_from=None, splits=("in", "ood")) -> _Plan:
         data=data,
         curve_set=sets.get(curve_from, []),
         final_sets={s: sets[f"eval_{s}"] for s in splits if f"eval_{s}" in sets},
-        sampling=sampling,
+        sampling={"k": cfg.eval_k, "temperature": cfg.eval_temperature},
         runs=planned,
     )
 
@@ -234,53 +292,41 @@ def _execute(plan: _Plan, run: RunConfig):
 # --- subcommands ---
 
 
-def cmd_gen_data(config: dict, out: str) -> int:
-    spec = TaskSpec.from_dict(config["task"])
-    train, eval_in, eval_ood = generate_dataset(
-        spec,
-        _value(config, "n_train", int, 5000),
-        _value(config, "n_eval_in", int, 500),
-        _value(config, "n_eval_ood", int, 500),
-    )
+def cmd_gen_data(cfg: GenDataConfig) -> int:
+    train, eval_in, eval_ood = generate_dataset(cfg.task, cfg.n_train, cfg.n_eval_in,
+                                                cfg.n_eval_ood)
     for name, demos in (("train", train), ("eval_in", eval_in),
                         ("eval_ood", eval_ood)):
-        save_jsonl(demos, os.path.join(out, f"{name}.jsonl"))
-    write_manifest(out)
-    print(f"wrote {len(train)}/{len(eval_in)}/{len(eval_ood)} items to {out}")
+        save_jsonl(demos, os.path.join(cfg.output_dir, f"{name}.jsonl"))
+    write_manifest(cfg.output_dir)
+    print(f"wrote {len(train)}/{len(eval_in)}/{len(eval_ood)} items to {cfg.output_dir}")
     return EXIT_OK
 
 
-def cmd_train(config: dict, out: str) -> int:
-    plan = _plan(config, [(out, {})], curve_from="eval_data", splits=())
+def cmd_train(cfg: PlanConfig) -> int:
+    plan = _plan(cfg, [(cfg.output_dir, {})], curve_from="eval_data", splits=())
     _execute(plan, plan.runs[0])
-    print(f"training complete: {out}")
+    print(f"training complete: {cfg.output_dir}")
     return EXIT_OK
 
 
-def cmd_eval(config: dict, out: str) -> int:
-    model = load_checkpoint(_path(config, "checkpoint"))
-    data = load_jsonl(_path(config, "eval_data"))
-    split = config.get("split", "in")
-    result, path = _write_eval(
-        out, split, model, data,
-        k=_value(config, "k", int, 16),
-        temperature=_value(config, "temperature", float, 1.0),
-        seed=_value(config, "seed", int, 0),
-        greedy=_value(config, "greedy", bool, False),
-    )
-    write_manifest(out)
-    print(f"avg@{result.k} = {result.avg_at_k:.4f} ({split}) -> {path}")
+def cmd_eval(cfg: EvalConfig) -> int:
+    model = load_checkpoint(cfg.checkpoint)
+    data = load_jsonl(cfg.eval_data)
+    result, path = _write_eval(cfg.output_dir, cfg.split, model, data, k=cfg.k,
+                               temperature=cfg.temperature, seed=cfg.seed, greedy=cfg.greedy)
+    write_manifest(cfg.output_dir)
+    print(f"avg@{result.k} = {result.avg_at_k:.4f} ({cfg.split}) -> {path}")
     return EXIT_OK
 
 
-def cmd_rft_sample(config: dict, out: str) -> int:
-    model = load_checkpoint(_path(config, "checkpoint"))
-    prompts = load_jsonl(_path(config, "prompts_data"))
-    rft = RftConfig.from_dict(config.get("rft", {}))
-    retained, stats = sample_and_filter(model, prompts, verify, rft)
-    save_jsonl(retained, os.path.join(out, "filtered.jsonl"))
-    _write_json(os.path.join(out, "rft_stats.json"), stats.to_dict())
-    write_manifest(out)
+def cmd_rft_sample(cfg: RftSampleConfig) -> int:
+    model = load_checkpoint(cfg.checkpoint)
+    prompts = load_jsonl(cfg.prompts_data)
+    retained, stats = sample_and_filter(model, prompts, verify, cfg.rft)
+    save_jsonl(retained, os.path.join(cfg.output_dir, "filtered.jsonl"))
+    _write_json(os.path.join(cfg.output_dir, "rft_stats.json"), stats.to_dict())
+    write_manifest(cfg.output_dir)
     print(f"kept {stats.n_retained} of {stats.n_samples} samples "
           f"(keep rate {stats.keep_rate:.3f})")
     if not retained:
@@ -290,61 +336,53 @@ def cmd_rft_sample(config: dict, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: dict, out) -> int:
-    results = run_verification(
-        seed=_value(config, "seed", int, 0, minimum=0),
-        vocab_sizes=_value(config, "vocab_sizes", list[int], [2, 3], minimum=2),
-        horizons=_value(config, "horizons", list[int], [1, 2, 3, 4], minimum=1),
-        models_per_cell=_value(config, "models_per_cell", int, 5, minimum=1),
-        n_samples=_value(config, "n_samples", int, 100_000, minimum=1),
-    )
+def cmd_verify(cfg: VerifyCommandConfig) -> int:
+    results = run_verification(cfg)
     for r in results:
         print(f"{'PASS' if r['passed'] else 'FAIL'}  {r['name']}: {r['detail']}")
-    if out:
-        _write_json(os.path.join(out, "verify_report.json"), results)
-        write_manifest(out)
+    if cfg.output_dir:
+        _write_json(os.path.join(cfg.output_dir, "verify_report.json"), results)
+        write_manifest(cfg.output_dir)
     return EXIT_OK if all(r["passed"] for r in results) else EXIT_RUNTIME
 
 
-def cmd_analyze(config: dict, out: str) -> int:
-    checkpoint = _path(config, "checkpoint")
-    model = load_checkpoint(checkpoint)
-    data = load_jsonl(_path(config, "data"))
-    tag = _value(config, "model_tag", str, os.path.basename(checkpoint))
-    hist = token_histogram(model, data, model_tag=tag,
-                           bin_edges=_value(config, "bin_edges", Optional[list[float]], None))
-    _write_json(os.path.join(out, "histogram.json"), hist.to_dict())
-    ranked = lowest_bin_tokens(model, data, _value(config, "threshold", float, 0.05))
-    _write_json(os.path.join(out, "lowest_bin_tokens.json"),
+def cmd_analyze(cfg: AnalyzeConfig) -> int:
+    model = load_checkpoint(cfg.checkpoint)
+    data = load_jsonl(cfg.data)
+    tag = os.path.basename(cfg.checkpoint) if cfg.model_tag is None else cfg.model_tag
+    hist = token_histogram(model, data, model_tag=tag, bin_edges=cfg.bin_edges)
+    _write_json(os.path.join(cfg.output_dir, "histogram.json"), hist.to_dict())
+    ranked = lowest_bin_tokens(model, data, cfg.threshold)
+    _write_json(os.path.join(cfg.output_dir, "lowest_bin_tokens.json"),
                 [{"token": t, "count": c} for t, c in ranked])
-    _write_json(os.path.join(out, "implicit_weights.json"),
+    _write_json(os.path.join(cfg.output_dir, "implicit_weights.json"),
                 implicit_reward_scan(model, data))
-    write_manifest(out)
-    print(f"analyzed {hist.total} tokens -> {out}")
+    write_manifest(cfg.output_dir)
+    print(f"analyzed {hist.total} tokens -> {cfg.output_dir}")
     return EXIT_OK
 
 
-def cmd_report(config: dict, out: str) -> int:
-    report = _write_comparison(out, "", _value(config, "run_dirs", list[str], []))
-    write_manifest(out)
+def cmd_report(cfg: ReportConfig) -> int:
+    report = _write_comparison(cfg.output_dir, "", cfg.run_dirs)
+    write_manifest(cfg.output_dir)
     print(f"{len(report['rows'])} runs reported, "
-          f"{len(report['errors'])} errors -> {out}")
+          f"{len(report['errors'])} errors -> {cfg.output_dir}")
     return EXIT_OK
 
 
-def cmd_sweep(config: dict, out: str) -> int:
-    rates = _value(config, "learning_rates", list[float], list(SWEEP_LEARNING_RATES))
-    plan = _plan(config, [(os.path.join(out, f"lr{lr:g}"), {"learning_rate": lr})
-                          for lr in rates])
+def cmd_sweep(cfg: PlanConfig) -> int:
+    out = cfg.output_dir
+    plan = _plan(cfg, [(os.path.join(out, f"lr{lr:g}"), {"learning_rate": lr})
+                       for lr in cfg.learning_rates])
     for run in plan.runs:
         _execute(plan, run)
     _write_comparison(out, "", [run.output_dir for run in plan.runs])
     write_manifest(out)
-    print(f"swept {len(rates)} learning rates -> {out}")
+    print(f"swept {len(cfg.learning_rates)} learning rates -> {out}")
     return EXIT_OK
 
 
-def reproduce_figures(config: dict) -> dict:
+def reproduce_figures(cfg: PlanConfig) -> dict:
     """Learning curves, histograms, and hyperparameter sweeps.
 
     Trains the plain and token-scaled objectives under one shared config,
@@ -352,27 +390,25 @@ def reproduce_figures(config: dict) -> dict:
     JSONs over the same training set, and short learning-rate and
     batch-size sweep tables. Returns the run directories produced.
     """
-    out = config["output_dir"]
+    out = cfg.output_dir
     kinds = ("sft", "dft_token")
     # convergence curves and final histograms under identical configs
     runs = [(os.path.join(out, f"fig1_{kind}"), {"loss": {"kind": kind}}) for kind in kinds]
     # short sweeps over learning rate and batch size, both objectives
     short = {"eval_every": 0}
-    max_steps = _value(config, "sweep_max_steps", Optional[int], None)
-    if max_steps is not None:
-        short.update(max_steps=max_steps, epochs=None)
+    if cfg.sweep_max_steps is not None:
+        short.update(max_steps=cfg.sweep_max_steps, epochs=None)
     axes = {}
     for axis, key, values in (
-        ("lr", "learning_rate", _value(config, "sweep_learning_rates", Optional[list[float]],
-                                       list(SWEEP_LEARNING_RATES))),
-        ("batch", "batch_size", _value(config, "sweep_batch_sizes", Optional[list[int]], [])),
+        ("lr", "learning_rate", cfg.sweep_learning_rates),
+        ("batch", "batch_size", cfg.sweep_batch_sizes),
     ):
         for value in values or ():
             for kind in kinds:
                 run_dir = os.path.join(out, f"fig3_{axis}{value:g}_{kind}")
                 runs.append((run_dir, {"loss": {"kind": kind}, key: value, **short}))
                 axes.setdefault(axis, []).append(run_dir)
-    plan = _plan(config, runs, curve_from="eval_in")
+    plan = _plan(cfg, runs, curve_from="eval_in")
 
     for i, run in enumerate(plan.runs):
         model = _execute(plan, run)
@@ -391,29 +427,30 @@ def reproduce_figures(config: dict) -> dict:
     return {"run_dirs": [run.output_dir for run in plan.runs]}
 
 
-def cmd_figures(config: dict, out: str) -> int:
-    result = reproduce_figures(config)
-    print(f"figure runs: {len(result['run_dirs'])} -> {out}")
+def cmd_figures(cfg: PlanConfig) -> int:
+    result = reproduce_figures(cfg)
+    print(f"figure runs: {len(result['run_dirs'])} -> {cfg.output_dir}")
     return EXIT_OK
 
 
-_HANDLERS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "rft-sample": cmd_rft_sample,
-    "verify": cmd_verify,
-    "analyze": cmd_analyze,
-    "report": cmd_report,
-    "sweep": cmd_sweep,
-    "figures": cmd_figures,
+# subcommand -> (its config record, its handler)
+_COMMANDS = {
+    "gen-data": (GenDataConfig, cmd_gen_data),
+    "train": (PlanConfig, cmd_train),
+    "eval": (EvalConfig, cmd_eval),
+    "rft-sample": (RftSampleConfig, cmd_rft_sample),
+    "verify": (VerifyCommandConfig, cmd_verify),
+    "analyze": (AnalyzeConfig, cmd_analyze),
+    "report": (ReportConfig, cmd_report),
+    "sweep": (PlanConfig, cmd_sweep),
+    "figures": (PlanConfig, cmd_figures),
 }
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dftlab", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _HANDLERS:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -430,8 +467,11 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         config = _load_config(args.config, args.set)
-        out = _prepare_dir(config, args.out, required=args.subcommand != "verify")
-        return _HANDLERS[args.subcommand](config, out)
+        record, handler = _COMMANDS[args.subcommand]
+        cfg = record.from_dict(config)
+        cfg.output_dir = _prepare_dir(config, args.out or cfg.output_dir,
+                                      required=args.subcommand != "verify")
+        return handler(cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -109,6 +109,21 @@ def _type_name(hint) -> str:
     return hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
 
 
+def _floats(hint, value):
+    """``value`` with every number read for a float as a float, as JSON
+    writes 1.0 as 1: for ``float`` and ``list[float]`` fields, ``Optional``
+    or not."""
+    if typing.get_origin(hint) is typing.Union:
+        hint = typing.get_args(hint)[0]
+    if value is None:
+        return value
+    if hint is float:
+        return float(value)
+    if hint == list[float]:
+        return [float(v) for v in value]
+    return value
+
+
 def _to_json(value):
     if isinstance(value, Record):
         return value.to_dict()
@@ -132,8 +147,9 @@ class Record:
         A misspelt key, a missing field without a default, or a value of the
         wrong type (``"abc"`` or ``2.5`` for an int) is a ValueError naming the
         key instead of a TypeError or a failure mid-run. A nested record is
-        built through its own ``from_dict``; a ``tuple`` field takes a list.
-        A stored derived field must equal the value the other fields give.
+        built through its own ``from_dict``; a ``tuple`` field takes a list;
+        an int given for a float field is read as a float. A stored derived
+        field must equal the value the other fields give.
         """
         if not isinstance(d, dict):
             raise ValueError(f"{cls.__name__} needs a JSON object, got {d!r}")
@@ -158,6 +174,8 @@ class Record:
                 value = hint.from_dict(value)
             elif hint is tuple:
                 value = tuple(value)
+            else:
+                value = _floats(hint, value)
             kwargs[key] = value
         out = cls(**kwargs)
         for key in derived:

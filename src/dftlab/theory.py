@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tensor, backward, mul, softmax
 from .evalreport import teacher_forced_probs
 from .losses import dft_token_loss, sft_loss
-from .model import Model, ModelConfig, batch_token_log_probs, inverse_cdf
+from .model import Model, ModelConfig, Record, batch_token_log_probs, inverse_cdf
 from .seeding import derive_seed
 
 # Rows per batched forward and backward in ``_weighted_grad``; bounds peak
@@ -373,12 +373,34 @@ def _check_variance_ratio(seed: int, n_samples: int) -> dict:
     }
 
 
-def run_verification(seed: int = 0, vocab_sizes=(2, 3), horizons=(1, 2, 3, 4),
-                     models_per_cell: int = 5, n_samples: int = 100_000) -> list:
+@dataclass(kw_only=True)
+class VerifyConfig(Record):
+    """The ``dftlab verify`` suite: ``models_per_cell`` random models per
+    (vocab size, horizon) cell for the importance-sampling identity, and
+    ``n_samples`` draws per variance probe."""
+
+    seed: int = 0
+    vocab_sizes: list[int] = field(default_factory=lambda: [2, 3])
+    horizons: list[int] = field(default_factory=lambda: [1, 2, 3, 4])
+    models_per_cell: int = 5
+    n_samples: int = 100_000
+
+    def __post_init__(self):
+        # an empty grid or no models would let the identity check pass on nothing
+        for key, low in (("vocab_sizes", 2), ("horizons", 1)):
+            values = getattr(self, key)
+            if not values or min(values) < low:
+                raise ValueError(f"{key!r} must be non-empty, each >= {low}, got {values!r}")
+        for key, low in (("models_per_cell", 1), ("n_samples", 1), ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key!r} must be >= {low}, got {getattr(self, key)!r}")
+
+
+def run_verification(config: VerifyConfig) -> list:
     """Run every oracle check; returns [{name, passed, detail}, ...]."""
     return [
-        _check_importance_identity(vocab_sizes, horizons, models_per_cell),
-        _check_score_zero_mean(seed),
-        _check_gradient_identity(seed),
-        _check_variance_ratio(seed, n_samples),
+        _check_importance_identity(config.vocab_sizes, config.horizons, config.models_per_cell),
+        _check_score_zero_mean(config.seed),
+        _check_gradient_identity(config.seed),
+        _check_variance_ratio(config.seed, config.n_samples),
     ]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -369,6 +370,49 @@ def test_figures_contract(tmp_path, workspace):
     assert (out / "fig3_lr_comparison.csv").exists()
 
 
+def test_cli_chain_golden(tmp_path, capsys):
+    # recorded once: every path-free artifact of a micro chain through seven
+    # subcommands; guards the bytes a CLI refactor must keep
+    data, run = tmp_path / "data", tmp_path / "run"
+    ckpt, train_data, eval_in = (str(run / "ckpt_final.bin"), str(data / "train.jsonl"),
+                                 str(data / "eval_in.jsonl"))
+    chain = [
+        ("gen-data", {"task": {"task_kind": "sequence-reversal",
+                               "train_difficulty_range": [2, 3],
+                               "ood_difficulty_range": [5, 6], "seed": 1},
+                      "n_train": 16, "n_eval_in": 4, "n_eval_ood": 4, "output_dir": str(data)}),
+        ("train", {"run": dict(MICRO_RUN, learning_rate=1e-2, max_steps=100, eval_every=50),
+                   "train_data": train_data, "eval_data": eval_in, "eval_k": 2,
+                   "output_dir": str(run)}),
+        ("eval", {"checkpoint": ckpt, "eval_data": train_data, "k": 2, "temperature": 1,
+                  "seed": 3, "output_dir": str(run)}),
+        ("analyze", {"checkpoint": ckpt, "data": train_data, "threshold": 0.5,
+                     "output_dir": str(run)}),
+        ("rft-sample", {"checkpoint": ckpt, "prompts_data": train_data,
+                        "rft": {"n_responses_per_prompt": 4, "seed": 4},
+                        "output_dir": str(tmp_path / "rft")}),
+        ("verify", {"seed": 0, "vocab_sizes": [2], "horizons": [1, 2], "models_per_cell": 1,
+                    "n_samples": 4000, "output_dir": str(tmp_path / "verify")}),
+        ("report", {"run_dirs": [str(run)], "output_dir": str(tmp_path / "report")}),
+    ]
+    codes = [dispatch([sub, "--config", write_config(tmp_path / f"{sub}.json", cfg)])
+             for sub, cfg in chain]
+    assert codes == [0] * len(chain), capsys.readouterr().err
+    h = hashlib.sha256()
+    # these hold output paths or wall-clock seconds
+    skip = {"effective_config.json", "manifest.json", "config.json", "metrics.jsonl"}
+    for path in sorted(tmp_path.rglob("*")):
+        if path.is_file() and path.parent != tmp_path and path.name not in skip:
+            body = path.read_bytes()
+            assert str(tmp_path).encode() not in body, path
+            h.update(str(path.relative_to(tmp_path)).encode())
+            h.update(body)
+    assert h.hexdigest() == GOLDEN_CLI_SHA256
+
+
+GOLDEN_CLI_SHA256 = "7a2ea9b5841fe2680eed76d14b977c3e27a1a26177c477b47f35bbeacbbdfd4d"
+
+
 def test_console_script_help():
     proc = subprocess.run([sys.executable, "-m", "dftlab.cli", "--help"],
                           capture_output=True, text=True)
@@ -376,31 +420,61 @@ def test_console_script_help():
     assert "subcommand" in proc.stdout or "usage" in proc.stdout
 
 
-# --- planning: bad inputs fail before any run trains ---
+# --- bad inputs fail before any work starts ---
 
 
-@pytest.mark.parametrize("subcommand,changes,never_written", [
-    ("figures", {"sweep_batch_sizes": [0]}, "fig1_sft"),
-    ("sweep", {"learning_rates": [1e-3, -1]}, "lr0.001"),
-    ("train", {"eval_data": "missing.jsonl"}, "ckpt_step0.bin"),
-    ("figures", {"eval_ood": "empty.jsonl"}, "fig1_sft"),
-], ids=["figures-batch-0", "sweep-negative-lr", "train-missing-eval-data",
-        "figures-empty-eval-file"])
-def test_bad_run_value_or_file_fails_before_training(tmp_path, workspace, capsys,
-                                                      subcommand, changes, never_written):
+@pytest.fixture
+def base_config(tmp_path, workspace, warm_checkpoint):
+    """Each subcommand's own smallest valid config, writing into tmp_path/out."""
     _, data_dir = workspace
-    (tmp_path / "empty.jsonl").write_text("")
-    out = tmp_path / "out"
-    config = {
-        "run": MICRO_RUN,
-        "train_data": str(data_dir / "train.jsonl"),
-        "eval_in": str(data_dir / "eval_in.jsonl"),
-        "eval_k": 1, "sweep_learning_rates": [1e-3], "output_dir": str(out),
+    ckpt, prompts = warm_checkpoint
+    out = str(tmp_path / "out")
+    plan = {"run": MICRO_RUN, "train_data": str(data_dir / "train.jsonl"),
+            "eval_in": str(data_dir / "eval_in.jsonl"), "eval_k": 1, "output_dir": out}
+    return {
+        "gen-data": {"task": {"task_kind": "sequence-reversal", "train_difficulty_range": [3, 4],
+                              "ood_difficulty_range": [9, 10]},
+                     "n_train": 4, "n_eval_in": 1, "n_eval_ood": 1, "output_dir": out},
+        "train": plan,
+        "sweep": dict(plan, learning_rates=[1e-3]),
+        "figures": dict(plan, sweep_learning_rates=[1e-3]),
+        "eval": {"checkpoint": ckpt, "eval_data": prompts, "k": 1, "output_dir": out},
+        "rft-sample": {"checkpoint": ckpt, "prompts_data": prompts, "rft": {"seed": 4},
+                       "output_dir": out},
+        "analyze": {"checkpoint": ckpt, "data": prompts, "output_dir": out},
+        "verify": {"vocab_sizes": [2], "horizons": [1], "models_per_cell": 1,
+                   "n_samples": 100, "output_dir": out},
+        "report": {"run_dirs": [], "output_dir": out},
     }
+
+
+def assert_wrote_nothing(out):
+    """At most the echoed config: no data, checkpoint or result file."""
+    assert set(os.listdir(out) if os.path.isdir(out) else []) <= {"effective_config.json"}
+
+
+@pytest.mark.parametrize("subcommand,changes,never_written,named", [
+    ("figures", {"sweep_batch_sizes": [0]}, "fig1_sft", "batch_size"),
+    ("sweep", {"learning_rates": [1e-3, -1]}, "lr0.001", "learning_rate"),
+    ("train", {"eval_data": "missing.jsonl"}, "ckpt_step0.bin", "missing.jsonl"),
+    ("figures", {"eval_ood": "empty.jsonl"}, "fig1_sft", "eval_ood"),
+    ("sweep", {"eval_in": "malformed.jsonl"}, "lr0.001",
+     "eval_in item 1: malformed reversal prompt 'abc'"),
+], ids=["figures-batch-0", "sweep-negative-lr", "train-missing-eval-data",
+        "figures-empty-eval-file", "sweep-malformed-eval-prompt"])
+def test_bad_run_value_or_file_fails_before_training(tmp_path, base_config, capsys, subcommand,
+                                                      changes, never_written, named):
+    (tmp_path / "empty.jsonl").write_text("")
+    good = json.loads(open(base_config["sweep"]["eval_in"]).readline())
+    (tmp_path / "malformed.jsonl").write_text(  # a reversal prompt needs its "|"
+        json.dumps(good) + "\n" + json.dumps(dict(good, prompt="abc")) + "\n")
+    out = tmp_path / "out"
+    config = dict(base_config[subcommand])
     for key, value in changes.items():
         config[key] = str(tmp_path / value) if key.startswith("eval_") else value
     assert dispatch([subcommand, "--config", write_config(tmp_path / "c.json", config)]) == 1
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err and named in err
     assert not (out / never_written).exists()
     assert not (out / "ckpt_final.bin").exists()
 
@@ -411,24 +485,20 @@ def test_bad_run_value_or_file_fails_before_training(tmp_path, workspace, capsys
     ("train", "run.loss.reductoin=sum"),
     ("gen-data", "task.sed=2"),
     ("rft-sample", "rft.n_respones_per_prompt=2"),
-], ids=["RunConfig", "ModelConfig", "LossSpec", "TaskSpec", "RftConfig"])
-def test_unknown_config_key_exits_one_naming_it(tmp_path, workspace, warm_checkpoint,
-                                                capsys, subcommand, typo):
-    _, data_dir = workspace
-    ckpt, prompts = warm_checkpoint
-    cfg = write_config(tmp_path / "c.json", {
-        "run": MICRO_RUN, "train_data": str(data_dir / "train.jsonl"),
-        "task": {"task_kind": "sequence-reversal", "train_difficulty_range": [3, 4],
-                 "ood_difficulty_range": [9, 10]},
-        "n_train": 4, "n_eval_in": 1, "n_eval_ood": 1,
-        "checkpoint": ckpt, "prompts_data": prompts, "rft": {"seed": 4},
-        "output_dir": str(tmp_path / "out"),
-    })
+    ("verify", "n_sample=10"),
+    ("figures", "sweep_lerning_rates=[1e-3]"),
+    ("eval", "temprature=0.5"),
+    ("gen-data", "n_trian=4"),
+    ("report", "run_dir=[]"),
+], ids=["RunConfig", "ModelConfig", "LossSpec", "TaskSpec", "RftConfig", "verify-top-level",
+        "figures-top-level", "eval-top-level", "gen-data-top-level", "report-top-level"])
+def test_unknown_config_key_exits_one_naming_it(tmp_path, base_config, capsys,
+                                                subcommand, typo):
+    cfg = write_config(tmp_path / "c.json", base_config[subcommand])
     assert dispatch([subcommand, "--config", cfg, "--set", typo]) == 1
-    key = typo.split("=")[0].rsplit(".", 1)[1]
+    key = typo.split("=")[0].rsplit(".", 1)[-1]
     assert repr(key) in capsys.readouterr().err
-    assert not (tmp_path / "out" / "ckpt_step0.bin").exists()
-    assert not (tmp_path / "out" / "train.jsonl").exists()
+    assert_wrote_nothing(tmp_path / "out")
 
 
 @pytest.mark.parametrize("override", [
@@ -503,38 +573,24 @@ def test_verify_value_of_wrong_type_exits_one_naming_it(tmp_path, capsys, overri
         "output-dir-int", "eval-data-bad-line", "gen-data-n-train-str", "gen-data-n-eval-float",
         "task-range-int", "model-without-vocab-size", "figures-batch-float",
         "negative-prompt-cap"])
-def test_value_of_wrong_type_or_missing_exits_one_naming_it(tmp_path, workspace,
+def test_value_of_wrong_type_or_missing_exits_one_naming_it(tmp_path, base_config,
                                                             warm_checkpoint, capsys,
                                                             monkeypatch, subcommand,
                                                             changes, named):
-    _, data_dir = workspace
-    ckpt, prompts = warm_checkpoint
+    _, prompts = warm_checkpoint
     monkeypatch.chdir(tmp_path)
     with open(prompts) as f:
         (tmp_path / "bad.jsonl").write_text(f.read() + "[1, 2]\n")
-    config = {
-        "checkpoint": ckpt, "eval_data": prompts,
-        "task": {"task_kind": "sequence-reversal", "train_difficulty_range": [3, 4],
-                 "ood_difficulty_range": [9, 10]},
-        "n_train": 4, "n_eval_in": 1, "n_eval_ood": 1,
-        "run": MICRO_RUN, "train_data": str(data_dir / "train.jsonl"),
-        "eval_in": str(data_dir / "eval_in.jsonl"), "eval_k": 1,
-        "output_dir": "out", **changes,
-    }
+    config = {**base_config[subcommand], "output_dir": "out", **changes}
     assert dispatch([subcommand, "--config", write_config(tmp_path / "c.json", config)]) == 1
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
-    assert set(os.listdir("out") if os.path.isdir("out") else []) <= {"effective_config.json"}
+    assert_wrote_nothing("out")
 
 
 @pytest.mark.parametrize("subcommand", ["eval", "rft-sample", "analyze"])
-def test_checkpoint_that_is_not_a_path_exits_one(tmp_path, warm_checkpoint, capsys,
-                                                  subcommand):
+def test_checkpoint_that_is_not_a_path_exits_one(tmp_path, base_config, capsys, subcommand):
     # an int would reach open() as a file descriptor
-    _, prompts = warm_checkpoint
-    cfg = write_config(tmp_path / "c.json", {
-        "eval_data": prompts, "prompts_data": prompts, "data": prompts,
-        "output_dir": str(tmp_path / "out"),
-    })
+    cfg = write_config(tmp_path / "c.json", base_config[subcommand])
     assert dispatch([subcommand, "--config", cfg, "--set", "checkpoint=3"]) == 1
-    assert "'checkpoint' must be a path string, got 3" in capsys.readouterr().err
+    assert "'checkpoint' must be str, got 3" in capsys.readouterr().err

@@ -2,6 +2,9 @@ import hashlib
 import json
 import math
 import os
+import typing
+from dataclasses import fields
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -68,11 +71,20 @@ def test_config_validation():
                  clipped=True),
     FilterStats(n_prompts=2, n_samples=8, n_verified=3, n_retained=2, keep_rate=0.375,
                 per_prompt_kept=[2, 0]),
+    RunConfig(model=SMALL, learning_rate=1, batch_size=8, epochs=None, max_steps=20,
+              grad_clip_norm=2),
+    EvalResult("sequence-reversal", "in-dist", 1, 1, [[True]]),
 ], ids=["ModelConfig", "RunConfig", "LossSpec-focal", "LossSpec-iw_sft", "RftConfig",
         "TaskSpec", "Demonstration", "EvalResult", "ProbHistogram", "TrainMetrics",
-        "FilterStats"])
+        "FilterStats", "RunConfig-int-for-float", "EvalResult-int-for-float"])
 def test_record_round_trip(record):
-    assert type(record).from_dict(json.loads(json.dumps(record.to_dict()))) == record
+    decoded = type(record).from_dict(json.loads(json.dumps(record.to_dict())))
+    assert decoded == record
+    hints = typing.get_type_hints(type(record))
+    for f in fields(decoded):  # JSON writes 1.0 as 1; a float field reads it back as 1.0
+        value = getattr(decoded, f.name)
+        if hints[f.name] in (float, Optional[float]) and value is not None:
+            assert type(value) is float, f.name
 
 
 def test_causality_by_input_perturbation(small_model):

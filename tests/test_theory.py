@@ -32,6 +32,18 @@ class Demo:
     response_ids: list
 
 
+@pytest.mark.parametrize("changes", [{"vocab_sizes": []}, {"horizons": []},
+                                     {"models_per_cell": 0}, {"vocab_sizes": [1, 2]},
+                                     {"n_samples": 0}, {"seed": -1}],
+                         ids=["empty-vocab-sizes", "empty-horizons", "no-models",
+                              "vocab-below-2", "no-samples", "negative-seed"])
+def test_run_verification_rejects_a_check_that_cannot_fail(changes):
+    # an empty grid or no models would pass the identity check over nothing
+    (key,) = changes
+    with pytest.raises(ValueError, match=repr(key)):
+        theory.run_verification(theory.VerifyConfig(**changes))
+
+
 def test_budget_validation():
     EnumerationBudget(vocab_size=3, horizon=4)
     with pytest.raises(ValueError, match="budget"):
