@@ -102,17 +102,7 @@ class Tensor:
             raise ValueError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def backward(self) -> None:
-        backward(self)
-
     # --- sugar ---
-
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return scale(self, 1.0, shift=float(other))
-
-    __radd__ = __add__
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
@@ -121,42 +111,14 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, scale(other, -1.0))
-        return scale(self, 1.0, shift=-float(other))
-
-    def __rsub__(self, other):
-        return scale(self, -1.0, shift=float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __pow__(self, p):
         return pow_const(self, float(p))
-
-    def log(self):
-        return log(self)
-
-    def exp(self):
-        return exp(self)
 
     def sum(self, axis=None):
         return tensor_sum(self, axis=axis)
 
     def mean(self, axis=None):
         return tensor_mean(self, axis=axis)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""

@@ -15,11 +15,13 @@ Each subcommand's top-level keys are the fields of one ``Record``
 ``EvalConfig``, ``RftSampleConfig``, ``VerifyCommandConfig``,
 ``AnalyzeConfig``, ``ReportConfig``). The config is decoded through it
 before the output directory is made, so a misspelt or mistyped key at
-any depth exits 1 having written nothing.
+any depth, ``run.*`` included, exits 1 having written nothing. Each
+command's ``manifest.json`` is written once its handler returns.
 
 ``train``, ``sweep`` and ``figures`` read every file the config names,
-build every run's config and check every eval prompt against each run's
-context and the task's prompt format before the first run trains.
+build every run's config from the decoded ``run`` (``dataclasses.replace``
+of the fields a run changes) and check every eval prompt against each
+run's context and the task's prompt format before the first run trains.
 
 Run ``dftlab <subcommand> --help`` for per-command flags; config schemas
 are documented in the README.
@@ -31,7 +33,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .evalreport import (
@@ -136,7 +138,7 @@ class PlanConfig(CommandConfig):
     """``train``, ``sweep`` and ``figures``. Each reads only its own keys and
     accepts the others, so one config shape serves all three."""
 
-    run: dict  # RunConfig fields, merged with each planned run's changes
+    run: RunConfig  # each planned run replaces some of its fields
     train_data: str
     eval_data: Optional[str] = None  # train's learning-curve prompts
     eval_in: Optional[str] = None
@@ -233,10 +235,12 @@ class _Plan:
 def _plan(cfg: PlanConfig, runs, curve_from=None, splits=("in", "ood")) -> _Plan:
     """Read every file the config names and build every run's config.
 
-    ``runs`` lists (run directory, changes to ``cfg.run``) pairs. A missing
-    or empty file, an unknown key, a bad run value, or an eval prompt that
-    the task cannot parse or a run's context cannot sample from fails here,
-    before the first run trains.
+    ``runs`` lists (run directory, changes to ``cfg.run``) pairs; each run
+    is ``cfg.run`` with those fields replaced, so every field a run does not
+    change, ``loss``'s knobs included, comes from the base. A missing or
+    empty file, a bad run value, or an eval prompt that the task cannot
+    parse or a run's context cannot sample from fails here, before the
+    first run trains.
     """
     sets = {}
     for key in dict.fromkeys([curve_from] + [f"eval_{s}" for s in splits]):  # no file read twice
@@ -246,8 +250,7 @@ def _plan(cfg: PlanConfig, runs, curve_from=None, splits=("in", "ood")) -> _Plan
             if not sets[key]:
                 raise CliError(f"{key} {path!r} holds no items")
     data = load_jsonl(cfg.train_data)
-    planned = [RunConfig.from_dict(dict(cfg.run, **changes, output_dir=run_dir))
-               for run_dir, changes in runs]
+    planned = [replace(cfg.run, output_dir=run_dir, **changes) for run_dir, changes in runs]
     for key, demos in sets.items():  # the verifier recomputes each answer from its prompt
         for i, demo in enumerate(demos):
             try:
@@ -298,7 +301,6 @@ def cmd_gen_data(cfg: GenDataConfig) -> int:
     for name, demos in (("train", train), ("eval_in", eval_in),
                         ("eval_ood", eval_ood)):
         save_jsonl(demos, os.path.join(cfg.output_dir, f"{name}.jsonl"))
-    write_manifest(cfg.output_dir)
     print(f"wrote {len(train)}/{len(eval_in)}/{len(eval_ood)} items to {cfg.output_dir}")
     return EXIT_OK
 
@@ -315,7 +317,6 @@ def cmd_eval(cfg: EvalConfig) -> int:
     data = load_jsonl(cfg.eval_data)
     result, path = _write_eval(cfg.output_dir, cfg.split, model, data, k=cfg.k,
                                temperature=cfg.temperature, seed=cfg.seed, greedy=cfg.greedy)
-    write_manifest(cfg.output_dir)
     print(f"avg@{result.k} = {result.avg_at_k:.4f} ({cfg.split}) -> {path}")
     return EXIT_OK
 
@@ -326,7 +327,6 @@ def cmd_rft_sample(cfg: RftSampleConfig) -> int:
     retained, stats = sample_and_filter(model, prompts, verify, cfg.rft)
     save_jsonl(retained, os.path.join(cfg.output_dir, "filtered.jsonl"))
     _write_json(os.path.join(cfg.output_dir, "rft_stats.json"), stats.to_dict())
-    write_manifest(cfg.output_dir)
     print(f"kept {stats.n_retained} of {stats.n_samples} samples "
           f"(keep rate {stats.keep_rate:.3f})")
     if not retained:
@@ -342,7 +342,6 @@ def cmd_verify(cfg: VerifyCommandConfig) -> int:
         print(f"{'PASS' if r['passed'] else 'FAIL'}  {r['name']}: {r['detail']}")
     if cfg.output_dir:
         _write_json(os.path.join(cfg.output_dir, "verify_report.json"), results)
-        write_manifest(cfg.output_dir)
     return EXIT_OK if all(r["passed"] for r in results) else EXIT_RUNTIME
 
 
@@ -357,14 +356,12 @@ def cmd_analyze(cfg: AnalyzeConfig) -> int:
                 [{"token": t, "count": c} for t, c in ranked])
     _write_json(os.path.join(cfg.output_dir, "implicit_weights.json"),
                 implicit_reward_scan(model, data))
-    write_manifest(cfg.output_dir)
     print(f"analyzed {hist.total} tokens -> {cfg.output_dir}")
     return EXIT_OK
 
 
 def cmd_report(cfg: ReportConfig) -> int:
     report = _write_comparison(cfg.output_dir, "", cfg.run_dirs)
-    write_manifest(cfg.output_dir)
     print(f"{len(report['rows'])} runs reported, "
           f"{len(report['errors'])} errors -> {cfg.output_dir}")
     return EXIT_OK
@@ -377,7 +374,6 @@ def cmd_sweep(cfg: PlanConfig) -> int:
     for run in plan.runs:
         _execute(plan, run)
     _write_comparison(out, "", [run.output_dir for run in plan.runs])
-    write_manifest(out)
     print(f"swept {len(cfg.learning_rates)} learning rates -> {out}")
     return EXIT_OK
 
@@ -385,15 +381,18 @@ def cmd_sweep(cfg: PlanConfig) -> int:
 def reproduce_figures(cfg: PlanConfig) -> dict:
     """Learning curves, histograms, and hyperparameter sweeps.
 
-    Trains the plain and token-scaled objectives under one shared config,
-    emits accuracy-vs-step CSVs with identical step grids, histogram
-    JSONs over the same training set, and short learning-rate and
-    batch-size sweep tables. Returns the run directories produced.
+    Trains the plain and token-scaled objectives under one shared config;
+    the two arms differ only in ``run.loss.kind``, so a base loss knob that
+    one kind rejects (focal's ``gamma``) fails before any run trains. Emits
+    accuracy-vs-step CSVs with identical step grids, histogram JSONs over
+    the same training set, and short learning-rate and batch-size sweep
+    tables. Returns the run directories produced.
     """
     out = cfg.output_dir
     kinds = ("sft", "dft_token")
     # convergence curves and final histograms under identical configs
-    runs = [(os.path.join(out, f"fig1_{kind}"), {"loss": {"kind": kind}}) for kind in kinds]
+    arms = {kind: {"loss": replace(cfg.run.loss, kind=kind)} for kind in kinds}
+    runs = [(os.path.join(out, f"fig1_{kind}"), arms[kind]) for kind in kinds]
     # short sweeps over learning rate and batch size, both objectives
     short = {"eval_every": 0}
     if cfg.sweep_max_steps is not None:
@@ -406,7 +405,7 @@ def reproduce_figures(cfg: PlanConfig) -> dict:
         for value in values or ():
             for kind in kinds:
                 run_dir = os.path.join(out, f"fig3_{axis}{value:g}_{kind}")
-                runs.append((run_dir, {"loss": {"kind": kind}, key: value, **short}))
+                runs.append((run_dir, {**arms[kind], key: value, **short}))
                 axes.setdefault(axis, []).append(run_dir)
     plan = _plan(cfg, runs, curve_from="eval_in")
 
@@ -423,7 +422,6 @@ def reproduce_figures(cfg: PlanConfig) -> dict:
             _write_json(os.path.join(out, f"histogram_{kind}.json"), hist.to_dict())
     for axis, axis_dirs in axes.items():
         _write_comparison(out, f"fig3_{axis}_", axis_dirs)
-    write_manifest(out)
     return {"run_dirs": [run.output_dir for run in plan.runs]}
 
 
@@ -471,7 +469,10 @@ def dispatch(argv) -> int:
         cfg = record.from_dict(config)
         cfg.output_dir = _prepare_dir(config, args.out or cfg.output_dir,
                                       required=args.subcommand != "verify")
-        return handler(cfg)
+        code = handler(cfg)
+        if cfg.output_dir:
+            write_manifest(cfg.output_dir)
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -72,14 +72,6 @@ class LossSpec(Record):
         elif self.iw_clip is not None:
             raise ValueError("iw_clip only applies to iw_sft")
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "reduction": self.reduction}
-        if self.gamma is not None:
-            out["gamma"] = self.gamma
-        if self.iw_clip is not None:
-            out["iw_clip"] = self.iw_clip
-        return out
-
 
 @dataclass
 class TokenDiagnostics:

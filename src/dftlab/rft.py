@@ -38,6 +38,8 @@ class RftConfig(Record):
             raise ValueError("temperature must be > 0")
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
+        if self.prompt_count < 0:  # -3 would drop the last 3 prompts
+            raise ValueError(f"prompt_count must be >= 0, got {self.prompt_count}")
 
 
 @dataclass

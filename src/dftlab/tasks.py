@@ -127,10 +127,6 @@ class TaskSpec(Record):
         if not (hi < olo or ohi < lo):
             raise ValueError("train and OOD difficulty ranges must be disjoint")
 
-    @property
-    def vocabulary(self) -> Vocabulary:
-        return vocabulary_for(self.task_kind)
-
 
 def default_task_spec(task_kind: str, seed: int = 0) -> TaskSpec:
     ranges = {

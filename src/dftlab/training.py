@@ -79,6 +79,8 @@ class RunConfig(Record):
             raise ValueError("need epochs or max_steps")
         if self.max_steps is not None and self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
+        if self.epochs is not None and self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
 
 
 @dataclass

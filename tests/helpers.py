@@ -1,7 +1,10 @@
 """Shared test oracles: finite differences and gradient utilities.
 
-These stay deliberately independent of the autodiff backward rules they
-check; they only ever call forward code.
+The finite-difference oracles (``fd_gradients``, ``directional_fd``) stay
+independent of the autodiff backward rules they check: they only call
+forward code. Two helpers do call ``backward``: ``analytic_gradients``,
+which gives the gradient under test, and ``dft_reference_grad``, which
+checks the stop-gradient loss against one plain backward per token.
 """
 
 import numpy as np

@@ -228,6 +228,7 @@ def test_rft_sample_empty_yield_exits_two(tmp_path, workspace):
     assert dispatch(["rft-sample", "--config", cfg]) == 2
     stats = json.loads((out / "rft_stats.json").read_text())
     assert stats["n_retained"] == 0
+    assert (out / "manifest.json").exists()  # written for any exit code
 
 
 # --- verify ---
@@ -370,6 +371,18 @@ def test_figures_contract(tmp_path, workspace):
     assert (out / "fig3_lr_comparison.csv").exists()
 
 
+def test_figures_arms_differ_only_in_loss_kind(tmp_path, base_config):
+    # every loss knob of the base config reaches both arms, sweeps included
+    out = tmp_path / "out"
+    config = dict(base_config["figures"], sweep_max_steps=1,
+                  run=dict(MICRO_RUN, loss={"kind": "sft", "reduction": "sum"}))
+    assert dispatch(["figures", "--config", write_config(tmp_path / "f.json", config)]) == 0
+    for kind in ("sft", "dft_token"):
+        for run_dir in (f"fig1_{kind}", f"fig3_lr0.001_{kind}"):
+            loss = json.loads((out / run_dir / "config.json").read_text())["loss"]
+            assert loss == {"kind": kind, "gamma": None, "reduction": "sum", "iw_clip": None}
+
+
 def test_cli_chain_golden(tmp_path, capsys):
     # recorded once: every path-free artifact of a micro chain through seven
     # subcommands; guards the bytes a CLI refactor must keep
@@ -460,8 +473,10 @@ def assert_wrote_nothing(out):
     ("figures", {"eval_ood": "empty.jsonl"}, "fig1_sft", "eval_ood"),
     ("sweep", {"eval_in": "malformed.jsonl"}, "lr0.001",
      "eval_in item 1: malformed reversal prompt 'abc'"),
+    ("figures", {"run": dict(MICRO_RUN, loss={"kind": "focal", "gamma": 2.0})}, "fig1_sft",
+     "gamma"),
 ], ids=["figures-batch-0", "sweep-negative-lr", "train-missing-eval-data",
-        "figures-empty-eval-file", "sweep-malformed-eval-prompt"])
+        "figures-empty-eval-file", "sweep-malformed-eval-prompt", "figures-focal-base"])
 def test_bad_run_value_or_file_fails_before_training(tmp_path, base_config, capsys, subcommand,
                                                       changes, never_written, named):
     (tmp_path / "empty.jsonl").write_text("")
@@ -498,7 +513,7 @@ def test_unknown_config_key_exits_one_naming_it(tmp_path, base_config, capsys,
     assert dispatch([subcommand, "--config", cfg, "--set", typo]) == 1
     key = typo.split("=")[0].rsplit(".", 1)[-1]
     assert repr(key) in capsys.readouterr().err
-    assert_wrote_nothing(tmp_path / "out")
+    assert not (tmp_path / "out").exists()  # decoded before even effective_config.json
 
 
 @pytest.mark.parametrize("override", [

@@ -182,6 +182,19 @@ def test_comparison_identical_runs_identical_rows(tmp_path):
     assert report["rows"][0]["hist_low_frac"] == 0.75
 
 
+def test_comparison_reads_a_config_that_omits_unset_loss_knobs(tmp_path):
+    # config.json as it was written before every LossSpec field was listed:
+    # no "gamma" and no "iw_clip" keys
+    run = tmp_path / "old"
+    _fake_run(tmp_path, "old", "dft_token")
+    config = json.loads((run / "config.json").read_text())
+    config["loss"] = {"kind": "dft_token", "reduction": "mean"}
+    (run / "config.json").write_text(json.dumps(config))
+    report = comparison_report([str(run)])
+    assert report["errors"] == []
+    assert [row["loss_kind"] for row in report["rows"]] == ["dft_token"]
+
+
 def test_comparison_marks_missing_and_collects_errors(tmp_path):
     good = _fake_run(tmp_path, "good", "dft_token")
     broken = tmp_path / "broken"

@@ -157,3 +157,9 @@ def test_rft_train_continues_from_base(memorized):
 def test_rft_config_rejects_zero_responses():
     with pytest.raises(ValueError):
         RftConfig(n_responses_per_prompt=0)
+
+
+def test_rft_config_rejects_a_negative_prompt_count():
+    # prompts[:-3] would sample all but the last three prompts
+    with pytest.raises(ValueError, match="prompt_count must be >= 0, got -3"):
+        RftConfig(prompt_count=-3)

@@ -44,6 +44,12 @@ def run_config(**kw):
     return RunConfig(**base)
 
 
+def test_run_config_rejects_negative_epochs():
+    # -2 epochs would plan -4 steps, train none and still write ckpt_final.bin
+    with pytest.raises(ValueError, match="epochs must be >= 0"):
+        run_config(epochs=-2, max_steps=None)
+
+
 @pytest.fixture(scope="module")
 def reversal_data():
     spec = default_task_spec("sequence-reversal", seed=2)
