@@ -1,9 +1,9 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Every operation records an OpNode linking its input tensors to its output;
-``backward`` linearizes the graph reachable from a scalar loss into a
-ComputationRecord (topological order) and runs each node's backward rule
-exactly once.
+Every operation records an OpNode linking its parents (its inputs' nodes,
+or leaf tensors) to its output; ``backward`` linearizes the graph
+reachable from a scalar loss into a ComputationRecord (topological order)
+and runs each node's backward rule exactly once.
 
 Primitives: ``add``, ``mul``, ``matmul``, ``softmax``,
 ``scaled_masked_softmax`` (attention scores: ``softmax`` of ``mask_fill``
@@ -29,12 +29,24 @@ Conventions
   so probabilities touching zero produce a large-but-finite value instead
   of -inf. Inputs below the floor get zero gradient (the clamped branch is
   constant). This only matters for pathological inputs.
-* An OpNode holds its output tensor weakly, so a graph has no reference
-  cycle: it is freed as soon as the loss (and any ComputationRecord
-  returned for it) is dropped, without waiting for the cyclic collector.
-* A graph (one ComputationRecord and its Tensors) belongs to a single
-  thread. There is no global tape, so independent graphs never share
-  state.
+* A graph keeps only what its backward rules read. An OpNode names
+  each input by its parent OpNode, or by the leaf Tensor when the input
+  has no node, and holds its output tensor weakly; each rule's closure
+  captures the arrays and shapes it reads (``a.data``, ``x.shape``),
+  never an input Tensor. So an interior tensor the caller drops is freed
+  at once, together with its array unless some rule reads that array:
+  the pre-bias output of a ``matmul``, or the scores fed to a softmax,
+  do not outlive the next op. There is no reference cycle, and a graph
+  is freed as soon as the loss (and any ComputationRecord returned for
+  it) is dropped, without waiting for the cyclic collector.
+* ``backward`` writes an interior tensor's ``.grad`` only while the
+  caller still holds that tensor (found through its node's weak output
+  reference). A dropped interior tensor cannot be read, so no caller
+  sees the difference; its gradient is freed as soon as its rule has
+  used it.
+* A graph (one ComputationRecord, its nodes and their Tensors) belongs
+  to a single thread. There is no global tape, so independent graphs
+  never share state.
 * Shape checks that numpy makes anyway (the broadcast in ``add`` and
   ``mul``) run only on the failure path: numpy computes first, and only
   when it refuses is the op's own error built. A cached decode step
@@ -126,11 +138,12 @@ class Tensor:
 
 
 class OpNode:
-    """One applied primitive: inputs, output, and its backward rule.
+    """One applied primitive: its parents, its output, and its backward rule.
 
-    The output is held through a weak reference; the output holds the
-    node (``Tensor._node``), and a strong link back would make every
-    graph a reference cycle.
+    ``inputs`` holds, per input, the input's OpNode, or the input Tensor
+    itself when it has none (a leaf). The output is held through a weak
+    reference; the output holds the node (``Tensor._node``), and a strong
+    link back would make every graph a reference cycle.
     """
 
     __slots__ = ("op", "inputs", "_output", "backward")
@@ -172,22 +185,22 @@ class ComputationRecord:
     @classmethod
     def trace(cls, root: Tensor) -> "ComputationRecord":
         nodes = []
-        seen, done = set(), set()
-        stack = [(root, False)]
+        if root._node is None:
+            return cls(nodes)
+        # OpNode defines no __eq__, so it hashes by identity.
+        seen = set()
+        stack = [(root._node, False)]
         while stack:
-            t, post = stack.pop()
+            node, post = stack.pop()
             if post:
-                if id(t) not in done:
-                    done.add(id(t))
-                    if t._node is not None:
-                        nodes.append(t._node)
+                nodes.append(node)
                 continue
-            if id(t) in seen:
+            if node in seen:
                 continue
-            seen.add(id(t))
-            stack.append((t, True))
-            if t._node is not None:
-                for parent in t._node.inputs:
+            seen.add(node)
+            stack.append((node, True))
+            for parent in node.inputs:
+                if type(parent) is OpNode:
                     stack.append((parent, False))
         return cls(nodes)
 
@@ -197,7 +210,8 @@ def _make(data: np.ndarray, op: str, inputs: tuple, backward_fn) -> Tensor:
     for t in inputs:
         if t.requires_grad:
             out.requires_grad = True
-            out._node = OpNode(op, inputs, out, backward_fn)
+            parents = tuple(t if t._node is None else t._node for t in inputs)
+            out._node = OpNode(op, parents, out, backward_fn)
             break
     return out
 
@@ -258,29 +272,32 @@ def _blocked(kernel: Callable, inputs: tuple, out_shapes: tuple, scratch: int = 
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    ad, bd = a.data, b.data
     try:
-        data = a.data + b.data
+        data = ad + bd
     except ValueError:
         _check_broadcast(a, b, "add")
         raise
+    sa, sb = ad.shape, bd.shape
 
     def bw(g):
-        return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+        return (_unbroadcast(g, sa), _unbroadcast(g, sb))
 
     return _make(data, "add", (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    ad, bd = a.data, b.data
     try:
-        data = a.data * b.data
+        data = ad * bd
     except ValueError:
         _check_broadcast(a, b, "multiply")
         raise
 
     def bw(g):
         return (
-            _unbroadcast(g * b.data, a.shape),
-            _unbroadcast(g * a.data, b.shape),
+            _unbroadcast(g * bd, ad.shape),
+            _unbroadcast(g * ad, bd.shape),
         )
 
     return _make(data, "multiply", (a, b), bw)
@@ -296,12 +313,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul: inner dimensions differ, {a.shape} vs {b.shape}"
         )
 
+    ad, bd = a.data, b.data
+
     def bw(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
+        gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
         return (ga, gb)
 
-    return _make(np.matmul(a.data, b.data), "matmul", (a, b), bw)
+    return _make(np.matmul(ad, bd), "matmul", (a, b), bw)
 
 
 def _softmax_forward(x, s, shifted) -> tuple:
@@ -370,10 +389,11 @@ def scaled_masked_softmax(x: Tensor, a: float, mask: Optional[np.ndarray] = None
 
 
 def log(x: Tensor) -> Tensor:
-    clamped = np.maximum(x.data, LOG_FLOOR)
+    xd = x.data
+    clamped = np.maximum(xd, LOG_FLOOR)
 
     def bw(g):
-        return (np.where(x.data >= LOG_FLOOR, g / clamped, 0.0),)
+        return (np.where(xd >= LOG_FLOOR, g / clamped, 0.0),)
 
     return _make(np.log(clamped), "log", (x,), bw)
 
@@ -398,10 +418,11 @@ def gather(x: Tensor, ids: np.ndarray) -> Tensor:
         raise IndexError(
             f"gather: index out of range for last axis of size {x.shape[-1]}"
         )
-    picked = np.take_along_axis(x.data, ids[..., None], axis=-1)[..., 0]
+    xd = x.data
+    picked = np.take_along_axis(xd, ids[..., None], axis=-1)[..., 0]
 
     def bw(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros_like(xd)  # takes xd's layout; in the model, softmax's rule holds xd anyway
         np.put_along_axis(gx, ids[..., None], g[..., None], axis=-1)
         return (gx,)
 
@@ -409,21 +430,24 @@ def gather(x: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def tensor_sum(x: Tensor, axis=None) -> Tensor:
+    shape = x.shape
+
     def bw(g):
         if axis is None:
-            return (np.broadcast_to(g, x.shape),)
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape),)
+            return (np.broadcast_to(g, shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape),)
 
     return _make(np.sum(x.data, axis=axis), "sum", (x,), bw)
 
 
 def tensor_mean(x: Tensor, axis=None) -> Tensor:
-    n = x.data.size if axis is None else x.shape[axis]
+    shape = x.shape
+    n = x.data.size if axis is None else shape[axis]
 
     def bw(g):
         if axis is None:
-            return (np.broadcast_to(g / n, x.shape),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / n, x.shape),)
+            return (np.broadcast_to(g / n, shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis) / n, shape),)
 
     return _make(np.mean(x.data, axis=axis), "mean", (x,), bw)
 
@@ -521,10 +545,11 @@ def _gelu_backward(x, t, g, gx, du, buf) -> tuple:
 
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU."""
-    t, out = _blocked(_gelu_forward, (x.data,), (x.shape, x.shape), scratch=1)
+    xd = x.data
+    t, out = _blocked(_gelu_forward, (xd,), (x.shape, x.shape), scratch=1)
 
     def bw(g):
-        return _blocked(_gelu_backward, (x.data, t, g), (x.shape,), scratch=2)
+        return _blocked(_gelu_backward, (xd, t, g), (xd.shape,), scratch=2)
 
     return _make(out, "gelu", (x,), bw)
 
@@ -562,12 +587,14 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
             f"embedding: id out of range for table with {table.shape[0]} rows"
         )
 
+    td = table.data
+
     def bw(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        gt = np.zeros_like(td)  # takes td's layout
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, td.shape[1]))
         return (gt,)
 
-    return _make(table.data[ids], "embedding-lookup", (table,), bw)
+    return _make(td[ids], "embedding-lookup", (table,), bw)
 
 
 def scale(x: Tensor, a: float, shift: float = 0.0) -> Tensor:
@@ -587,19 +614,23 @@ def mask_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
             f"mask-fill: mask shape {mask.shape} incompatible with {x.shape}"
         ) from None
 
+    shape = x.shape
+
     def bw(g):
-        return (_unbroadcast(np.where(mask, 0.0, g), x.shape),)
+        return (_unbroadcast(np.where(mask, 0.0, g), shape),)
 
     return _make(np.where(mask, value, x.data), "mask-fill", (x,), bw)
 
 
 def pow_const(x: Tensor, p: float) -> Tensor:
+    xd = x.data
+
     def bw(g):
         if p == 0.0:
-            return (np.zeros_like(x.data),)
-        return (g * p * x.data ** (p - 1.0),)
+            return (np.zeros_like(xd),)
+        return (g * p * xd ** (p - 1.0),)
 
-    return _make(x.data**p, "pow-const", (x,), bw)
+    return _make(xd**p, "pow-const", (x,), bw)
 
 
 def stop_gradient(x: Tensor) -> Tensor:
@@ -620,16 +651,20 @@ def backward(loss: Tensor) -> ComputationRecord:
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     record = ComputationRecord.trace(loss)
-    # Tensor defines no __eq__, so it hashes by identity.
-    flow: dict = {loss: np.ones_like(loss.data)} if loss.requires_grad else {}
+    # Keyed by OpNode for an interior gradient and by Tensor for a leaf's;
+    # neither defines __eq__, so both hash by identity.
+    flow: dict = {}
+    if loss.requires_grad:
+        flow[loss if loss._node is None else loss._node] = np.ones_like(loss.data)
     for node in reversed(record.nodes):
-        out = node.output
-        g = flow.pop(out, None)
+        g = flow.pop(node, None)
         if g is None:
             continue
-        out.grad = g if out.grad is None else out.grad + g
+        out = node.output
+        if out is not None:  # still held by the caller
+            out.grad = g if out.grad is None else out.grad + g
         for parent, pg in zip(node.inputs, node.backward(g)):
-            if pg is None or not parent.requires_grad:
+            if pg is None or (type(parent) is Tensor and not parent.requires_grad):
                 continue
             flow[parent] = flow[parent] + pg if parent in flow else pg
     for leaf, g in flow.items():

@@ -9,9 +9,11 @@ A run directory (when configured) receives:
 
     config.json     effective RunConfig
     metrics.csv     step,lr,loss,mean_p   (deterministic, byte-comparable)
-    metrics.jsonl   same rows plus wall-clock seconds, the pre-clip global
-                    gradient norm (grad_norm, null when clipping is off)
-                    and whether the step was clipped
+    metrics.jsonl   same rows plus the shares of loss tokens with p < 0.05
+                    and p > 0.95 (C9's polarization bins), wall-clock
+                    seconds, the pre-clip global gradient norm (grad_norm,
+                    null when clipping is off) and whether the step was
+                    clipped
     evals.jsonl     eval-hook outputs every eval_every steps
     ckpt_step0.bin / ckpt_step{N}.bin / ckpt_final.bin
     manifest.json   emitted files with sizes
@@ -21,8 +23,8 @@ seeds produce byte-identical CSVs.
 
 One graph is alive at a time: once a step's update has run, the loop
 drops the step's graph (the log-probs and the loss, and through them
-every activation and interior ``.grad``) before the next batch's
-forward. Holding it into the next forward kept two graphs' arrays live.
+every array a backward rule reads) before the next batch's forward.
+Holding it into the next forward kept two graphs' arrays live.
 """
 
 from __future__ import annotations
@@ -89,6 +91,8 @@ class TrainMetrics(Record):
     lr: float
     loss: float
     mean_p: float
+    frac_p_below_0_05: float  # share of loss tokens with p < 0.05
+    frac_p_above_0_95: float  # and with p > 0.95
     seconds: float
     grad_norm: Optional[float] = None  # pre-clip global norm; None when clipping is off
     clipped: bool = False
@@ -350,14 +354,15 @@ def train_run(config: RunConfig, train_data,
                 step += 1
                 lr = lr_at(config, step, total)
                 adamw_step(model.params, grads, state, lr, config.weight_decay)
-                mean_p = float(np.exp(logp.data)[mask].mean())
-                # Drop the graph here, after the update: the first step's AdamW
-                # state then sits above it on the heap, so malloc keeps its pages
-                # for the next step. Dropped before the update, glibc's malloc
-                # gave about 20 MB back to the system and faulted it in every step.
+                p = np.exp(logp.data)[mask]
+                # The graph goes before the next batch's forward. Its freed pages
+                # stay mapped for that forward (dftlab.allocator), wherever the
+                # graph sat on the heap.
                 del logp, loss, ref, grads
                 clipped = grad_norm is not None and grad_norm > config.grad_clip_norm
-                m = TrainMetrics(step=step, lr=lr, loss=value, mean_p=mean_p,
+                m = TrainMetrics(step=step, lr=lr, loss=value, mean_p=float(p.mean()),
+                                 frac_p_below_0_05=float((p < 0.05).mean()),
+                                 frac_p_above_0_95=float((p > 0.95).mean()),
                                  seconds=time.perf_counter() - start,
                                  grad_norm=grad_norm, clipped=clipped)
                 metrics.append(m)

@@ -8,6 +8,7 @@ import pytest
 
 from dftlab.autodiff import (
     ComputationRecord,
+    OpNode,
     Tensor,
     add,
     backward,
@@ -230,11 +231,15 @@ def test_record_is_topologically_ordered():
     c = mul(a, b)
     loss = c.sum()
     record = ComputationRecord.trace(loss)
-    seen = {id(x)}
+    seen = set()
     for node in record:
         for parent in node.inputs:
-            assert id(parent) in seen or parent._node is None
-        seen.add(id(node.output))
+            # a parent is an earlier node, or a leaf tensor (one with no node)
+            if isinstance(parent, OpNode):
+                assert id(parent) in seen
+            else:
+                assert isinstance(parent, Tensor) and parent._node is None
+        seen.add(id(node))
     assert len({id(n) for n in record}) == len(record) == 4
 
 
@@ -251,12 +256,66 @@ def test_graph_is_freed_without_the_cyclic_collector():
         assert node.output is hidden
         probe = weakref.ref(hidden)
         del hidden, node
-        assert probe() is not None  # still held as an input of softmax
+        assert probe() is None  # softmax's node names gelu's node, not its output
         del loss, record
         assert probe() is None
         assert w.grad is not None
     finally:
         gc.enable()
+
+
+def _attention_loss(x, wq, wk, causal, keep):
+    """A one-head attention loss; ``keep`` collects the interior tensors
+    the caller is to hold, by name."""
+    pre = matmul(x, wq)
+    q = add(pre, Tensor(np.full(wq.shape[-1], 0.25)))
+    scores = matmul(q, transpose(matmul(x, wk), (1, 0)))
+    att = scaled_masked_softmax(scores, 0.5, causal, -1e30)
+    keep.update(pre=pre, scores=scores, att=att)
+    return tensor_mean(matmul(att, x))
+
+
+def _attention_inputs():
+    rng = np.random.default_rng(11)
+    x, wq, wk = (rnd(rng, *shape) for shape in ((5, 4), (4, 3), (4, 3)))
+    return x, wq, wk, ~np.tril(np.ones((5, 5), dtype=bool))
+
+
+def test_dropped_interior_tensor_no_rule_reads_is_freed_before_backward():
+    # add reads only its inputs' shapes and the fused softmax only its
+    # output, so the pre-bias matmul output and the attention scores, with
+    # their arrays, go as soon as the caller drops them
+    x, wq, wk, causal = _attention_inputs()
+    gc.disable()
+    try:
+        keep = {}
+        loss = _attention_loss(x, wq, wk, causal, keep)
+        probes = {name: (weakref.ref(keep[name]), weakref.ref(keep[name].data))
+                  for name in ("pre", "scores")}
+        keep.clear()
+        for name, (tensor, array) in probes.items():
+            assert tensor() is None, name
+            assert array() is None, name
+        backward(loss)
+        assert all(t.grad is not None for t in (x, wq, wk))
+    finally:
+        gc.enable()
+
+
+def test_held_interior_tensor_receives_grad_and_leaf_grads_keep_their_bits():
+    x, wq, wk, causal = _attention_inputs()
+    keep = {}
+    backward(_attention_loss(x, wq, wk, causal, keep))
+    held = [keep[name].grad for name in ("pre", "scores", "att")]
+    leaves_held = [_bits(t.grad) for t in (x, wq, wk)]
+    assert all(g is not None and g.shape == keep[name].shape
+               for g, name in zip(held, ("pre", "scores", "att")))
+
+    x2, wq2, wk2, _ = _attention_inputs()
+    backward(_attention_loss(x2, wq2, wk2, causal, {}))
+    assert [_bits(t.grad) for t in (x2, wq2, wk2)] == leaves_held
+    # att's gradient is d mean(att @ x) / d att
+    np.testing.assert_allclose(held[2], np.full((5, 4), 1.0 / 20) @ x.data.T, rtol=1e-14)
 
 
 # --- stop gradient ---

@@ -67,8 +67,8 @@ def test_config_validation():
     Demonstration("12+34=", "2+4=6;1+3=4;=46", "addition-scratchpad", 2),
     EvalResult("addition-scratchpad", "ood", 3, 0.7, [[True, False, False], [True, True, False]]),
     ProbHistogram([0.0, 0.1, 0.95, 1.0], [7, 2, 3], 12, "dft_token"),
-    TrainMetrics(step=3, lr=2.5e-4, loss=1.75, mean_p=0.3, seconds=0.125, grad_norm=4.5,
-                 clipped=True),
+    TrainMetrics(step=3, lr=2.5e-4, loss=1.75, mean_p=0.3, frac_p_below_0_05=0.25,
+                 frac_p_above_0_95=0.125, seconds=0.125, grad_norm=4.5, clipped=True),
     FilterStats(n_prompts=2, n_samples=8, n_verified=3, n_retained=2, keep_rate=0.375,
                 per_prompt_kept=[2, 0]),
     RunConfig(model=SMALL, learning_rate=1, batch_size=8, epochs=None, max_steps=20,

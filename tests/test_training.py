@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dftlab.autodiff import Tensor, backward
-from dftlab.losses import LossSpec, sft_loss
+from dftlab.losses import LossSpec, compute_loss, sft_loss
 from dftlab.model import Model, ModelConfig, batch_token_log_probs
 from dftlab.tasks import default_task_spec, generate_dataset
 from dftlab.theory import implicit_reward_scan
@@ -272,6 +272,22 @@ def test_metrics_jsonl_logs_the_pre_clip_gradient_norm(tmp_path, reversal_data):
     assert all(r["grad_norm"] is None and not r["clipped"] for r in rows["off"])
 
 
+def test_metrics_jsonl_logs_the_polarization_bins(tmp_path, reversal_data):
+    # C9's bins over the step's own loss tokens: train a base far enough
+    # to fill both, then take one step from it, whose forward is the base's
+    base, _ = train_run(run_config(max_steps=300, learning_rate=1e-2), reversal_data)
+    items = reversal_data[:16]
+    out = tmp_path / "run"
+    train_run(run_config(max_steps=1, batch_size=len(items), output_dir=str(out)),
+              items, initial_model=base)
+    ids, mask = collate(encode_demonstrations(items))
+    p = np.exp(batch_token_log_probs(base.detached(), ids).data)[mask]
+    (row,) = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+    assert row["frac_p_below_0_05"] == float((p < 0.05).mean()) > 0
+    assert row["frac_p_above_0_95"] == float((p > 0.95).mean()) > 0
+    assert (out / "metrics.csv").read_text().splitlines()[0] == "step,lr,loss,mean_p"
+
+
 def test_one_graph_is_alive_at_a_time(reversal_data):
     # Every step trains on the same 16 items, so each graph has one size.
     # A step drops its graph before the next forward, so four steps peak
@@ -287,6 +303,31 @@ def test_one_graph_is_alive_at_a_time(reversal_data):
             tracemalloc.stop()
 
     assert peak(4) <= 1.1 * peak(1)
+
+
+def test_backward_adds_little_to_the_forward_peak():
+    # At the acceptance shape, a step (forward, loss, backward) peaks at
+    # 1.16x the forward with its graph alive. Storing every interior
+    # gradient on its tensor, and holding every interior tensor in the
+    # graph, read 1.60x.
+    spec = default_task_spec("addition-scratchpad", seed=0)
+    train, _, _ = generate_dataset(spec, 32, 4, 4)
+    ids, mask = collate(encode_demonstrations(train))
+    model = Model(ModelConfig(vocab_size=17, d_model=32, n_layers=2, n_heads=2,
+                              context_length=64, seed=0))
+
+    def peak(with_backward):
+        tracemalloc.start()
+        try:
+            loss = compute_loss(LossSpec("dft_token"), batch_token_log_probs(model, ids), mask)
+            if with_backward:
+                model.zero_grad()
+                backward(loss)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(True) <= 1.3 * peak(False)
 
 
 def test_training_determinism_golden():
