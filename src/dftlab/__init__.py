@@ -2,7 +2,7 @@
 
 from .allocator import process_libc, set_malloc_thresholds
 from .autodiff import ComputationRecord, Tensor, backward, stop_gradient
-from .losses import LossSpec, TokenDiagnostics
+from .losses import LossSpec
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .tasks import Demonstration, TaskSpec
 from .training import RunConfig, TrainingAborted, train_run
@@ -16,7 +16,6 @@ __all__ = [
     "backward",
     "stop_gradient",
     "LossSpec",
-    "TokenDiagnostics",
     "Model",
     "ModelConfig",
     "load_checkpoint",

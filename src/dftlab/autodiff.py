@@ -101,11 +101,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def values(self) -> np.ndarray:
-        """Flat view of the stored values (length == product of shape)."""
-        return self.data.reshape(-1)
-
     def zero_grad(self) -> None:
         self.grad = None
 

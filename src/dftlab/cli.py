@@ -57,6 +57,9 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 SWEEP_LEARNING_RATES = (2e-4, 1e-4, 5e-5, 1e-5)
+# each sweep config key -> (its run directories' prefix, the run field each value sets)
+SWEEP_AXES = {"sweep_learning_rates": ("lr", "learning_rate"),
+              "sweep_batch_sizes": ("batch", "batch_size")}
 
 
 class CliError(Exception):
@@ -146,8 +149,7 @@ class PlanConfig(CommandConfig):
     eval_prompt_cap: int = 0  # 0 keeps every eval prompt
     eval_k: int = 4
     eval_temperature: float = 1.0
-    learning_rates: list[float] = field(default_factory=lambda: list(SWEEP_LEARNING_RATES))
-    sweep_learning_rates: Optional[list[float]] = field(
+    sweep_learning_rates: Optional[list[float]] = field(  # sweep's runs, figures' lr axis
         default_factory=lambda: list(SWEEP_LEARNING_RATES))
     sweep_batch_sizes: Optional[list[int]] = field(default_factory=list)
     sweep_max_steps: Optional[int] = None
@@ -194,6 +196,10 @@ class AnalyzeConfig(CommandConfig):
     bin_edges: Optional[list[float]] = None
     threshold: float = 0.05
 
+    def __post_init__(self):
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError(f"'threshold' must be in [0, 1], got {self.threshold!r}")
+
 
 @dataclass(kw_only=True)
 class ReportConfig(CommandConfig):
@@ -238,9 +244,9 @@ def _plan(cfg: PlanConfig, runs, curve_from=None, splits=("in", "ood")) -> _Plan
     ``runs`` lists (run directory, changes to ``cfg.run``) pairs; each run
     is ``cfg.run`` with those fields replaced, so every field a run does not
     change, ``loss``'s knobs included, comes from the base. A missing or
-    empty file, a bad run value, or an eval prompt that the task cannot
-    parse or a run's context cannot sample from fails here, before the
-    first run trains.
+    empty file, a bad run value, two runs sharing a directory, or an eval
+    prompt that the task cannot parse or a run's context cannot sample
+    from fails here, before the first run trains.
     """
     sets = {}
     for key in dict.fromkeys([curve_from] + [f"eval_{s}" for s in splits]):  # no file read twice
@@ -251,6 +257,12 @@ def _plan(cfg: PlanConfig, runs, curve_from=None, splits=("in", "ood")) -> _Plan
                 raise CliError(f"{key} {path!r} holds no items")
     data = load_jsonl(cfg.train_data)
     planned = [replace(cfg.run, output_dir=run_dir, **changes) for run_dir, changes in runs]
+    dirs = [run_dir for run_dir, _ in runs]
+    for i, (run_dir, changes) in enumerate(runs):
+        if run_dir in dirs[:i]:  # values equal under :g name one directory
+            key = next(k for k, (_, name) in SWEEP_AXES.items() if name in changes)
+            raise CliError(f"{key!r} lists two values that both name the run directory "
+                           f"{run_dir!r}; each value must differ under :g")
     for key, demos in sets.items():  # the verifier recomputes each answer from its prompt
         for i, demo in enumerate(demos):
             try:
@@ -370,11 +382,11 @@ def cmd_report(cfg: ReportConfig) -> int:
 def cmd_sweep(cfg: PlanConfig) -> int:
     out = cfg.output_dir
     plan = _plan(cfg, [(os.path.join(out, f"lr{lr:g}"), {"learning_rate": lr})
-                       for lr in cfg.learning_rates])
+                       for lr in cfg.sweep_learning_rates or ()])
     for run in plan.runs:
         _execute(plan, run)
     _write_comparison(out, "", [run.output_dir for run in plan.runs])
-    print(f"swept {len(cfg.learning_rates)} learning rates -> {out}")
+    print(f"swept {len(plan.runs)} learning rates -> {out}")
     return EXIT_OK
 
 
@@ -398,11 +410,8 @@ def reproduce_figures(cfg: PlanConfig) -> dict:
     if cfg.sweep_max_steps is not None:
         short.update(max_steps=cfg.sweep_max_steps, epochs=None)
     axes = {}
-    for axis, key, values in (
-        ("lr", "learning_rate", cfg.sweep_learning_rates),
-        ("batch", "batch_size", cfg.sweep_batch_sizes),
-    ):
-        for value in values or ():
+    for config_key, (axis, key) in SWEEP_AXES.items():
+        for value in getattr(cfg, config_key) or ():
             for kind in kinds:
                 run_dir = os.path.join(out, f"fig3_{axis}{value:g}_{kind}")
                 runs.append((run_dir, {**arms[kind], key: value, **short}))

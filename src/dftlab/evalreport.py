@@ -29,6 +29,7 @@ from .tasks import verify, vocabulary_for
 from .training import RunConfig, collate, encode_demonstrations
 
 DEFAULT_BIN_EDGES = np.linspace(0.0, 1.0, 21)
+TEACHER_FORCED_BATCH = 64  # rows per teacher-forced forward
 
 REPORT_COLUMNS = (
     "run", "loss_kind", "in_dist_acc", "ood_acc",
@@ -53,22 +54,21 @@ class EvalResult(Record):
 
 
 def evaluate(model: Model, eval_set, k: int, temperature: float, seed: int,
-             split: str = "in-dist", greedy: bool = False,
-             max_new: int = 0) -> EvalResult:
-    """avg@k with per-(prompt, draw) derived sampling streams."""
+             split: str = "in-dist", greedy: bool = False) -> EvalResult:
+    """avg@k with per-(prompt, draw) derived sampling streams; a draw runs
+    until EOS or the model's context is full."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not eval_set:
         raise ValueError("eval_set must be non-empty")
-    limit = max_new or model.config.context_length
     flat_prompts, flat_seeds = [], []
     for i, demo in enumerate(eval_set):
         ids = demo.prompt_ids
         for j in range(k):
             flat_prompts.append(ids)
             flat_seeds.append(derive_seed(seed, "eval", i, j))
-    completions = sample_batch(model, flat_prompts, limit, temperature,
-                               flat_seeds, greedy=greedy)
+    completions = sample_batch(model, flat_prompts, model.config.context_length,
+                               temperature, flat_seeds, greedy=greedy)
     matrix = []
     for i, demo in enumerate(eval_set):
         row = [
@@ -105,7 +105,7 @@ class ProbHistogram(Record):
         self.fractions = [c / self.total if self.total else 0.0 for c in self.counts]
 
 
-def teacher_forced_probs(model: Model, dataset, batch_size: int = 64):
+def teacher_forced_probs(model: Model, dataset):
     """Yield (probabilities, token ids) of the response tokens, batch by batch.
 
     The one teacher-forced read-out behind the histograms and
@@ -113,8 +113,8 @@ def teacher_forced_probs(model: Model, dataset, batch_size: int = 64):
     """
     net = model.detached()
     items = encode_demonstrations(dataset)
-    for lo in range(0, len(items), batch_size):
-        ids, mask = collate(items[lo : lo + batch_size])
+    for lo in range(0, len(items), TEACHER_FORCED_BATCH):
+        ids, mask = collate(items[lo : lo + TEACHER_FORCED_BATCH])
         p = np.exp(batch_token_log_probs(net, ids).data)
         yield p[mask], ids[:, 1:][mask]
 
@@ -139,8 +139,6 @@ def token_histogram(model: Model, dataset, bin_edges=None,
 
 def lowest_bin_tokens(model: Model, dataset, threshold: float) -> list:
     """Tokens (as characters) with p below threshold, ranked by count."""
-    if not (0.0 <= threshold <= 1.0):
-        raise ValueError("threshold must be in [0, 1]")
     if not dataset:
         raise ValueError("dataset must be non-empty")
     vocab = vocabulary_for(dataset[0].task)

@@ -21,9 +21,8 @@ The focal baseline's (1-p)^gamma factor is deliberately NOT detached;
 that matches the standard focal loss. The asymmetry with the dynamic
 losses is the point of the contrast.
 
-Each kind's weight is written once, in ``_weight``; ``compute_loss``
-(which the five ``*_loss`` functions call) and ``diagnostics`` both
-read it from there.
+Each kind's weight is written once, in ``_weight``, which
+``compute_loss`` (and so each of the five ``*_loss`` functions) reads.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import LOG_FLOOR, Tensor, exp, mul, scale, stop_gradient, tensor_sum
+from .autodiff import Tensor, exp, mul, scale, stop_gradient, tensor_sum
 from .model import Record
 
 KINDS = ("sft", "dft_token", "dft_sequence", "focal", "iw_sft")
@@ -47,7 +46,7 @@ class LossSpec(Record):
     """Choice of objective plus its knobs; every field serializes.
 
     iw_sft's per-token reference log probs are runtime data, passed to
-    ``compute_loss`` and ``diagnostics`` rather than stored here.
+    ``compute_loss`` rather than stored here.
     """
 
     kind: str = "sft"
@@ -71,23 +70,6 @@ class LossSpec(Record):
                 raise ValueError("iw_clip must be > 0")
         elif self.iw_clip is not None:
             raise ValueError("iw_clip only applies to iw_sft")
-
-
-@dataclass
-class TokenDiagnostics:
-    """Per-token view of what the active loss actually applies.
-
-    w = 1/p is the implicit importance weight hiding in plain
-    cross-entropy; effective_weight is the multiplier the chosen loss
-    puts on -log p. indicator_reward is 1 for every demonstration token
-    by construction.
-    """
-
-    p: np.ndarray
-    w: np.ndarray
-    effective_weight: np.ndarray
-    indicator_reward: np.ndarray
-    sequence_weight: Optional[float] = None
 
 
 def _prep_mask(token_log_probs: Tensor, mask) -> np.ndarray:
@@ -181,29 +163,3 @@ def iw_sft_loss(token_log_probs: Tensor, reference_log_probs, mask=None,
     """
     spec = LossSpec("iw_sft", reduction=reduction, iw_clip=iw_clip)
     return compute_loss(spec, token_log_probs, mask, reference_log_probs)
-
-
-def diagnostics(token_log_probs, loss_spec: LossSpec,
-                reference_log_probs=None) -> TokenDiagnostics:
-    """Per-token probabilities, implicit weights, and the active loss weight.
-
-    Expects the log probs of one sequence; the sequence-level weight is
-    the product over all provided tokens. ``reference_log_probs`` is
-    required for iw_sft, as in ``compute_loss``.
-    """
-    logp = token_log_probs if isinstance(token_log_probs, Tensor) else Tensor(token_log_probs)
-    p = np.exp(logp.data)
-    weight = _weight(loss_spec, logp, _prep_mask(logp, None), reference_log_probs)
-    seq_weight = None
-    if isinstance(weight, Tensor):
-        eff = weight.data
-    else:
-        seq_weight = float(weight)
-        eff = np.full_like(p, seq_weight)
-    return TokenDiagnostics(
-        p=p,
-        w=1.0 / np.maximum(p, LOG_FLOOR),
-        effective_weight=eff,
-        indicator_reward=np.ones_like(p),
-        sequence_weight=seq_weight,
-    )

@@ -1,9 +1,10 @@
-"""Offline rejection-sampling fine-tuning.
+"""Offline rejection sampling: the data half of rejection-sampling fine-tuning.
 
-Sample completions from the current model, keep the ones an exact
-verifier accepts, retrain on the survivors. With the plain cross-entropy
-objective this is the classic RFT baseline; with the token-scaled
-dynamic loss it is the offline-reward variant.
+Sample completions from the current model and keep the ones an exact
+verifier accepts. Retraining on the survivors is an ordinary
+``training.train_run`` from the sampled model (``initial_model``): with
+the plain cross-entropy objective that is the classic RFT baseline, with
+the token-scaled dynamic loss the offline-reward variant.
 
 Per-prompt sampling streams are derived from (seed, prompt index, draw
 index), so the retained set does not depend on batching or evaluation
@@ -14,12 +15,11 @@ detokenize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .model import EOS_ID, PAD_ID, Model, Record, sample_batch
 from .seeding import derive_seed
 from .tasks import Demonstration, vocabulary_for
-from .training import RunConfig, train_run
 
 
 @dataclass
@@ -110,16 +110,3 @@ def sample_and_filter(model: Model, prompts, verify_fn,
         per_prompt_kept=per_prompt,
     )
     return retained, stats
-
-
-def rft_train(base_model: Model, filtered_data, loss_spec,
-              run_config: RunConfig, eval_hooks=()) -> Model:
-    """Continue training the base model on verified self-samples."""
-    if not filtered_data:
-        raise ValueError(
-            "filtered dataset is empty; raise n_responses_per_prompt, "
-            "sample more prompts, or warm the model further before sampling"
-        )
-    model, _ = train_run(replace(run_config, loss=loss_spec), filtered_data,
-                         eval_hooks=eval_hooks, initial_model=base_model)
-    return model

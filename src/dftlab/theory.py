@@ -13,6 +13,10 @@ Three facts get verified numerically rather than symbolically:
    for single-token responses (``variance_probe``), which is the paper's
    instability argument in its smallest closed form.
 
+Every gradient expectation here is enumerated, none is sampled: each
+goes through ``_weighted_grad``, which sums weight(y, pi(y|x)) *
+grad log pi(y|x) over the sequences it is given. Only
+``variance_probe`` draws, and it draws single tokens, not gradients.
 Enumeration visits sequences in lexicographic order, in blocks of
 ``_BLOCK_ROWS`` rows. Each block is one batched teacher-forced forward
 and one backward of the weighted sum of its rows' log pi(y|x); the
@@ -65,17 +69,6 @@ class EnumerationBudget:
             )
 
 
-@dataclass
-class EstimatorSample:
-    """One term of the reweighted expectation: y, pi(y|x), r, and its
-    weighted gradient contribution."""
-
-    sequence: tuple
-    probability: float
-    reward: float
-    weighted_grad: np.ndarray
-
-
 def _flat_grad(model: Model, scalar: Tensor) -> np.ndarray:
     """Flat gradient of ``scalar``; the model's grads are reset around it."""
     model.zero_grad()
@@ -121,34 +114,6 @@ def _enumerate(budget: EnumerationBudget) -> list:
     return list(itertools.product(range(budget.vocab_size), repeat=budget.horizon))
 
 
-def _target(y_star, budget: EnumerationBudget) -> tuple:
-    target = tuple(y_star)
-    if len(target) != budget.horizon:
-        raise ValueError(
-            f"y_star length {len(target)} must equal horizon {budget.horizon}"
-        )
-    return target
-
-
-def iter_estimator_samples(model: Model, prompt, y_star, budget: EnumerationBudget):
-    """Yield the full V^T grid of reweighted policy-gradient terms.
-
-    Every sequence is visited and differentiated; the indicator reward is
-    applied afterwards, so the collapse of the sum is an outcome, not a
-    shortcut taken here. This per-term view differentiates one sequence
-    at a time.
-    """
-    target = _target(y_star, budget)
-    for y in _enumerate(budget):
-        log_p, g = grad_log_prob(model, prompt, y)
-        p = math.exp(log_p)
-        r = 1.0 if y == target else 0.0
-        w = r / p
-        yield EstimatorSample(
-            sequence=y, probability=p, reward=r, weighted_grad=p * w * g
-        )
-
-
 def exact_policy_expectation(model: Model, prompt, y_star,
                              budget: EnumerationBudget) -> np.ndarray:
     """Sum of pi(y) * [1[y=y*]/pi(y)] * grad log pi(y) over all y in V^T.
@@ -156,7 +121,11 @@ def exact_policy_expectation(model: Model, prompt, y_star,
     Analytically this collapses to grad log pi(y*|x); the sum is computed
     in full so the collapse can be checked, not assumed.
     """
-    target = _target(y_star, budget)
+    target = tuple(y_star)
+    if len(target) != budget.horizon:
+        raise ValueError(
+            f"y_star length {len(target)} must equal horizon {budget.horizon}"
+        )
 
     def weight(y, p):
         r = 1.0 if y == target else 0.0
@@ -169,40 +138,6 @@ def exact_score_function_mean(model: Model, prompt,
                               budget: EnumerationBudget) -> np.ndarray:
     """E_y[grad log pi(y|x)] by enumeration; zero for any policy."""
     return _weighted_grad(model, prompt, _enumerate(budget), lambda y, p: p)
-
-
-def _sample_fixed_length(model: Model, prompt, horizon: int, n: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Draw n length-`horizon` sequences from the policy (no EOS handling)."""
-    net = model.detached()
-    cur = np.tile(np.asarray(prompt, dtype=np.int64), (n, 1))
-    for _ in range(horizon):
-        probs = softmax(Tensor(net.forward(cur).data[:, -1, :])).data
-        tokens = inverse_cdf(probs, rng.random(n))
-        cur = np.concatenate([cur, tokens[:, None]], axis=1)
-    return cur[:, len(prompt):]
-
-
-def policy_gradient_estimate(model: Model, prompt, reward_fn, horizon: int,
-                             n_samples: int, seed: int) -> np.ndarray:
-    """Monte-Carlo mean of grad log pi(y|x) * r(x, y) over sampled y.
-
-    ``reward_fn(sequence, probability)`` must depend only on its
-    arguments; identical draws are grouped so each distinct sequence is
-    differentiated once, which leaves the estimate unchanged.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    draws = _sample_fixed_length(model, prompt, horizon, n_samples, rng)
-    counts: dict = {}
-    for row in draws:
-        key = tuple(int(t) for t in row)
-        counts[key] = counts.get(key, 0) + 1
-    return _weighted_grad(
-        model, prompt, sorted(counts),
-        lambda y, p: (counts[y] / n_samples) * float(reward_fn(y, p)),
-    )
 
 
 def variance_probe(model: Model, prompt, y_star: int, n_samples: int,

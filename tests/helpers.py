@@ -2,9 +2,9 @@
 
 The finite-difference oracles (``fd_gradients``, ``directional_fd``) stay
 independent of the autodiff backward rules they check: they only call
-forward code. Two helpers do call ``backward``: ``analytic_gradients``,
-which gives the gradient under test, and ``dft_reference_grad``, which
-checks the stop-gradient loss against one plain backward per token.
+forward code. ``analytic_gradients``, which gives the gradient under
+test, is the one helper that calls ``backward``. The token-by-token
+reference for the dynamic loss is ``theory.dft_token_reference_grad``.
 """
 
 import numpy as np
@@ -75,29 +75,3 @@ def check_gradients(f, tensors, rel_tol=1e-5, step=FD_STEP):
     an = analytic_gradients(f, tensors)
     errs = [max_rel_err(a, n) for a, n in zip(an, fd)]
     return max(errs) if errs else 0.0
-
-
-def dft_reference_grad(model, prompt_ids, response_ids, reduction="mean"):
-    """Token-by-token reference for the dynamic token loss gradient.
-
-    Backprops each token's plain cross-entropy separately, scales that
-    gradient by the token's detached probability, and averages. This is
-    the 'scale each token's SFT gradient contribution by p_t' path, built
-    without the stop-gradient operator.
-    """
-    logp = model.token_log_probs(prompt_ids, response_ids)
-    probs = np.exp(logp.data)
-    n = logp.data.shape[0]
-    total = np.zeros(model.num_params())
-    for t in range(n):
-        model.zero_grad()
-        picker = np.zeros(n)
-        picker[t] = -1.0  # -log p_t
-        from dftlab.autodiff import Tensor, mul
-
-        backward(mul(logp, Tensor(picker)).sum())
-        total += probs[t] * model.flat_grad()
-    model.zero_grad()
-    if reduction == "mean":
-        total /= n
-    return total

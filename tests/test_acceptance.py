@@ -24,17 +24,18 @@ from dftlab.losses import (
     sft_loss,
 )
 from dftlab.model import Model, ModelConfig
-from dftlab.rft import RftConfig, rft_train, sample_and_filter
+from dftlab.rft import RftConfig, sample_and_filter
 from dftlab.tasks import default_task_spec, generate_dataset, verify
 from dftlab.theory import (
     EnumerationBudget,
+    dft_token_reference_grad,
     exact_policy_expectation,
     exact_score_function_mean,
     sft_autodiff_grad,
     variance_probe,
 )
 from dftlab.training import AdamState, RunConfig, adamw_step, lr_at, train_run
-from helpers import dft_reference_grad, directional_fd, vec_rel_err
+from helpers import directional_fd, vec_rel_err
 
 pytestmark = pytest.mark.acceptance
 
@@ -70,7 +71,7 @@ def test_c1_gradient_identity():
         model.zero_grad()
         backward(dft_token_loss(model.token_log_probs(prompt, response)))
         got = model.flat_grad()
-        ref = dft_reference_grad(model, prompt, response)
+        ref = dft_token_reference_grad(model, prompt, response)
         worst_ref = max(worst_ref, vec_rel_err(got, ref))
 
         # finite differences on the frozen-weight surrogate (what the
@@ -331,10 +332,8 @@ def pipeline(tmp_path_factory):
         rft_ood = {}
         if filtered:
             for kind in ("sft", "dft_token"):
-                retrained = rft_train(
-                    warm, filtered, LossSpec(kind=kind),
-                    _pipeline_config(kind, RFT_STEPS, seed),
-                )
+                retrained, _ = train_run(_pipeline_config(kind, RFT_STEPS, seed), filtered,
+                                         initial_model=warm)
                 rft_ood[kind] = evaluate(
                     retrained, eval_ood, k=RFT_OOD_K, temperature=1.0,
                     seed=0, split="ood",

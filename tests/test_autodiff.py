@@ -504,10 +504,3 @@ def test_grad_flows_through_both_uses_of_same_tensor():
     x = Tensor([1.5], requires_grad=True)
     backward(mul(x, x).sum())
     assert x.grad[0] == pytest.approx(3.0)
-
-
-def test_values_and_shape_contract():
-    x = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
-    assert x.shape == (2, 3)
-    assert x.values.shape == (6,)
-    assert len(x.values) == int(np.prod(x.shape))

@@ -278,7 +278,7 @@ def test_sweep_and_report(tmp_path, workspace):
         "eval_in": str(data_dir / "eval_in.jsonl"),
         "eval_ood": str(data_dir / "eval_ood.jsonl"),
         "eval_k": 1,
-        "learning_rates": [1e-3, 5e-4],
+        "sweep_learning_rates": [1e-3, 5e-4],
         "output_dir": str(out),
     })
     assert dispatch(["sweep", "--config", cfg]) == 0
@@ -449,7 +449,7 @@ def base_config(tmp_path, workspace, warm_checkpoint):
                               "ood_difficulty_range": [9, 10]},
                      "n_train": 4, "n_eval_in": 1, "n_eval_ood": 1, "output_dir": out},
         "train": plan,
-        "sweep": dict(plan, learning_rates=[1e-3]),
+        "sweep": dict(plan, sweep_learning_rates=[1e-3]),
         "figures": dict(plan, sweep_learning_rates=[1e-3]),
         "eval": {"checkpoint": ckpt, "eval_data": prompts, "k": 1, "output_dir": out},
         "rft-sample": {"checkpoint": ckpt, "prompts_data": prompts, "rft": {"seed": 4},
@@ -468,14 +468,19 @@ def assert_wrote_nothing(out):
 
 @pytest.mark.parametrize("subcommand,changes,never_written,named", [
     ("figures", {"sweep_batch_sizes": [0]}, "fig1_sft", "batch_size"),
-    ("sweep", {"learning_rates": [1e-3, -1]}, "lr0.001", "learning_rate"),
+    ("sweep", {"sweep_learning_rates": [1e-3, -1]}, "lr0.001", "learning_rate"),
+    ("sweep", {"sweep_learning_rates": [1e-3, 1e-3]}, "lr0.001", "'sweep_learning_rates'"),
+    ("sweep", {"sweep_learning_rates": [1e-3, 0.0010000001]}, "lr0.001",
+     "'sweep_learning_rates'"),
+    ("figures", {"sweep_batch_sizes": [2, 2]}, "fig1_sft", "'sweep_batch_sizes'"),
     ("train", {"eval_data": "missing.jsonl"}, "ckpt_step0.bin", "missing.jsonl"),
     ("figures", {"eval_ood": "empty.jsonl"}, "fig1_sft", "eval_ood"),
     ("sweep", {"eval_in": "malformed.jsonl"}, "lr0.001",
      "eval_in item 1: malformed reversal prompt 'abc'"),
     ("figures", {"run": dict(MICRO_RUN, loss={"kind": "focal", "gamma": 2.0})}, "fig1_sft",
      "gamma"),
-], ids=["figures-batch-0", "sweep-negative-lr", "train-missing-eval-data",
+], ids=["figures-batch-0", "sweep-negative-lr", "sweep-duplicate-lr", "sweep-lrs-alike-under-g",
+        "figures-duplicate-batch-size", "train-missing-eval-data",
         "figures-empty-eval-file", "sweep-malformed-eval-prompt", "figures-focal-base"])
 def test_bad_run_value_or_file_fails_before_training(tmp_path, base_config, capsys, subcommand,
                                                       changes, never_written, named):
@@ -505,8 +510,10 @@ def test_bad_run_value_or_file_fails_before_training(tmp_path, base_config, caps
     ("eval", "temprature=0.5"),
     ("gen-data", "n_trian=4"),
     ("report", "run_dir=[]"),
+    ("sweep", "learning_rates=[1e-3]"),
 ], ids=["RunConfig", "ModelConfig", "LossSpec", "TaskSpec", "RftConfig", "verify-top-level",
-        "figures-top-level", "eval-top-level", "gen-data-top-level", "report-top-level"])
+        "figures-top-level", "eval-top-level", "gen-data-top-level", "report-top-level",
+        "sweep-merged-learning-rates-key"])
 def test_unknown_config_key_exits_one_naming_it(tmp_path, base_config, capsys,
                                                 subcommand, typo):
     cfg = write_config(tmp_path / "c.json", base_config[subcommand])
@@ -584,10 +591,11 @@ def test_verify_value_of_wrong_type_exits_one_naming_it(tmp_path, capsys, overri
                                              if k != "vocab_size"})}, "'vocab_size'"),
     ("figures", {"sweep_batch_sizes": [2.5]}, "'sweep_batch_sizes'"),
     ("train", {"eval_prompt_cap": -1}, "'eval_prompt_cap'"),
+    ("analyze", {"threshold": 2}, "'threshold'"),
 ], ids=["eval-k-float", "eval-greedy-str", "eval-temperature-str", "eval-data-int",
         "output-dir-int", "eval-data-bad-line", "gen-data-n-train-str", "gen-data-n-eval-float",
         "task-range-int", "model-without-vocab-size", "figures-batch-float",
-        "negative-prompt-cap"])
+        "negative-prompt-cap", "analyze-threshold-above-1"])
 def test_value_of_wrong_type_or_missing_exits_one_naming_it(tmp_path, base_config,
                                                             warm_checkpoint, capsys,
                                                             monkeypatch, subcommand,

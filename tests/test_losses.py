@@ -6,16 +6,17 @@ import pytest
 from dftlab.autodiff import Tensor, backward, exp, gather, log, mul, reshape, scale, softmax
 from dftlab.losses import (
     LossSpec,
+    _weight,
     compute_loss,
     dft_sequence_loss,
     dft_token_loss,
-    diagnostics,
     focal_loss,
     iw_sft_loss,
     sft_loss,
 )
 from dftlab.model import Model, ModelConfig
-from helpers import analytic_gradients, directional_fd, dft_reference_grad, vec_rel_err
+from dftlab.theory import dft_token_reference_grad
+from helpers import analytic_gradients, directional_fd, vec_rel_err
 
 
 def lp(*values):
@@ -251,7 +252,7 @@ def test_dft_gradient_equals_scaled_sft_reference():
         model.zero_grad()
         backward(dft_token_loss(model.token_log_probs(prompt, response)))
         got = model.flat_grad()
-        ref = dft_reference_grad(model, prompt, response)
+        ref = dft_token_reference_grad(model, prompt, response)
         assert vec_rel_err(got, ref) <= 1e-10
 
 
@@ -309,32 +310,21 @@ def test_stop_gradient_separation():
         assert np.max(np.abs(g_dft + g_removed - g_full)) <= 1e-10
 
 
-# --- diagnostics ---
+# --- the weight table ---
 
 
-def test_diagnostics_reciprocal_weight():
-    d = diagnostics(np.array([math.log(0.01)]), LossSpec(kind="sft"))
-    assert d.w[0] == pytest.approx(100.0, rel=1e-12)
-    assert d.effective_weight[0] == 1.0
-    assert d.indicator_reward[0] == 1.0
+def weight(spec, logp, ref=None):
+    """``_weight`` over one sequence with every token unmasked."""
+    logp = logp if isinstance(logp, Tensor) else Tensor(logp)
+    return _weight(spec, logp, np.ones(logp.shape, dtype=bool), ref)
 
 
 def test_diagnostics_effective_weights():
     logp = np.log([0.3, 0.5])
-    dt = diagnostics(logp, LossSpec(kind="dft_token"))
-    assert dt.effective_weight == pytest.approx([0.3, 0.5], rel=1e-12)
-    ds = diagnostics(logp, LossSpec(kind="dft_sequence"))
-    assert ds.sequence_weight == pytest.approx(0.15, rel=1e-12)
-    assert ds.effective_weight == pytest.approx([0.15, 0.15], rel=1e-12)
-    df = diagnostics(logp, LossSpec(kind="focal", gamma=2.0))
-    assert df.effective_weight == pytest.approx([0.49, 0.25], rel=1e-12)
-
-
-def test_diagnostics_w_times_p_is_one():
-    rng = np.random.default_rng(14)
-    logp = np.log(rng.uniform(1e-4, 1.0, 50))
-    d = diagnostics(logp, LossSpec(kind="sft"))
-    assert np.max(np.abs(d.w * d.p - 1.0)) <= 1e-12
+    assert weight(LossSpec(kind="dft_token"), logp).data == pytest.approx([0.3, 0.5], rel=1e-12)
+    assert weight(LossSpec(kind="dft_sequence"), logp) == pytest.approx(0.15, rel=1e-12)
+    df = weight(LossSpec(kind="focal", gamma=2.0), logp)
+    assert df.data == pytest.approx([0.49, 0.25], rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["sft", "dft_token", "dft_sequence", "iw_sft"])
@@ -344,7 +334,8 @@ def test_loss_gradient_is_minus_the_diagnosed_weight(kind):
     ref = logp.data + rng.uniform(-1.0, 1.0, 7) if kind == "iw_sft" else None
     spec = LossSpec(kind=kind, reduction="sum", iw_clip=1.2 if ref is not None else None)
     backward(compute_loss(spec, logp, reference_log_probs=ref))
-    eff = diagnostics(logp, spec, reference_log_probs=ref).effective_weight
+    eff = weight(spec, logp, ref)
+    eff = eff.data if isinstance(eff, Tensor) else eff  # dft_sequence: one weight per row
     assert np.max(np.abs(logp.grad + eff)) <= 1e-15
     if kind == "iw_sft":
         assert 0 < eff.min() < eff.max() == 1.2  # the ratio is clipped somewhere
@@ -352,11 +343,10 @@ def test_loss_gradient_is_minus_the_diagnosed_weight(kind):
 
 def test_diagnostics_iw_sft_needs_reference_log_probs():
     logp = np.log([0.2, 0.9])
-    d = diagnostics(logp, LossSpec(kind="iw_sft", iw_clip=2.0),
-                    reference_log_probs=np.log([0.4, 0.3]))
-    assert d.effective_weight == pytest.approx([0.5, 2.0], rel=1e-12)
+    w = weight(LossSpec(kind="iw_sft", iw_clip=2.0), logp, np.log([0.4, 0.3]))
+    assert w.data == pytest.approx([0.5, 2.0], rel=1e-12)
     with pytest.raises(ValueError, match="reference"):
-        diagnostics(logp, LossSpec(kind="iw_sft"))
+        weight(LossSpec(kind="iw_sft"), logp)
 
 
 # --- spec plumbing ---

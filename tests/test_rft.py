@@ -1,9 +1,8 @@
-import numpy as np
 import pytest
 
 from dftlab.losses import LossSpec
 from dftlab.model import EOS_ID, Model, ModelConfig
-from dftlab.rft import FilterStats, RftConfig, rft_train, sample_and_filter
+from dftlab.rft import FilterStats, RftConfig, sample_and_filter
 from dftlab.tasks import (
     Demonstration,
     default_task_spec,
@@ -122,36 +121,6 @@ def test_unterminated_completions_never_kept(prompts):
     )
     assert data == []
     assert stats.keep_rate == 0.0
-
-
-def test_rft_train_rejects_empty(eos_model):
-    cfg = RunConfig(model=MODEL_CFG, max_steps=1, epochs=None, seed=0)
-    with pytest.raises(ValueError, match="n_responses_per_prompt"):
-        rft_train(eos_model, [], LossSpec(kind="sft"), cfg)
-
-
-def test_rft_train_continues_from_base(memorized):
-    model, demo = memorized
-    data, _ = sample_and_filter(
-        model, [demo], verify, RftConfig(n_responses_per_prompt=8, seed=11)
-    )
-    cfg = RunConfig(model=MODEL_CFG, learning_rate=1e-3, batch_size=4,
-                    epochs=None, max_steps=3, warmup_ratio=0.0, seed=2)
-    out = rft_train(model, data, LossSpec(kind="dft_token"), cfg)
-    # the starting point was the warm model, not a fresh init
-    fresh = Model(MODEL_CFG)
-    diff_fresh = sum(
-        float(np.abs(out.params[k].data - fresh.params[k].data).sum())
-        for k in out.params
-    )
-    diff_base = sum(
-        float(np.abs(out.params[k].data - model.params[k].data).sum())
-        for k in out.params
-    )
-    assert diff_base < diff_fresh
-    # and the base model itself was not mutated
-    assert not np.array_equal(out.params["head.b"].data,
-                              model.params["head.b"].data)
 
 
 def test_rft_config_rejects_zero_responses():

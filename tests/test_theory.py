@@ -14,8 +14,6 @@ from dftlab.theory import (
     exact_score_function_mean,
     grad_log_prob,
     implicit_reward_scan,
-    iter_estimator_samples,
-    policy_gradient_estimate,
     sft_autodiff_grad,
     variance_probe,
 )
@@ -75,20 +73,6 @@ def test_importance_sampling_identity(vocab, horizon):
         assert np.max(np.abs(got + sft)) <= 1e-10
 
 
-def test_estimator_samples_structure():
-    model = tiny(2, seed=3)
-    samples = list(
-        iter_estimator_samples(model, [0], [1, 0], EnumerationBudget(2, 2))
-    )
-    assert len(samples) == 4
-    assert abs(sum(s.probability for s in samples) - 1.0) <= 1e-10
-    rewards = [s.reward for s in samples]
-    assert sorted(rewards) == [0.0, 0.0, 0.0, 1.0]
-    for s in samples:
-        if s.reward == 0.0:
-            assert not s.weighted_grad.any()
-
-
 def test_score_function_zero_mean():
     model = tiny(3, seed=4)
     mean = exact_score_function_mean(model, [1], EnumerationBudget(3, 2))
@@ -114,7 +98,9 @@ def test_batched_expectation_matches_per_sequence_terms(vocab, horizon):
     budget = EnumerationBudget(vocab, horizon)
     y_star = [vocab - 1] * horizon
     got = exact_policy_expectation(model, [0], y_star, budget)
-    ref = sum(s.weighted_grad for s in iter_estimator_samples(model, [0], y_star, budget))
+    target = tuple(y_star)
+    ref = _per_sequence_sum(model, [0], _grid(vocab, horizon),
+                            lambda y, p: p * ((1.0 if y == target else 0.0) / p))
     assert np.max(np.abs(ref)) > 1e-3
     assert np.max(np.abs(got - ref)) <= 1e-12
 
@@ -146,8 +132,6 @@ def test_blocks_that_split_the_rows_match_one_block(monkeypatch):
             exact_policy_expectation(model, [0], [2, 2, 1], budget),
             exact_score_function_mean(model, [0], budget),
             theory._weighted_grad(model, [0], _grid(3, 3), weight),
-            policy_gradient_estimate(model, [0], lambda y, p: 1.0 + y[0], horizon=3,
-                                     n_samples=200, seed=12),
         ]
 
     whole = run()
@@ -171,8 +155,7 @@ def test_weighted_grad_rejects_empty_prompt_and_sequence():
     with pytest.raises(ValueError, match="non-empty"):
         exact_score_function_mean(model, [], EnumerationBudget(3, 1))
     with pytest.raises(ValueError, match="non-empty"):
-        policy_gradient_estimate(model, [0], lambda y, p: 1.0, horizon=0,
-                                 n_samples=3, seed=0)
+        theory._weighted_grad(model, [0], [()], lambda y, p: 1.0)
 
 
 def test_y_star_length_must_match_horizon():
@@ -187,46 +170,6 @@ def test_dft_token_reference_grad_runs_one_backward_per_token(monkeypatch):
     monkeypatch.setattr(theory, "backward", lambda loss: calls.append(1) or original(loss))
     dft_token_reference_grad(tiny(4, seed=5), [0, 1], [2, 3, 1])
     assert len(calls) == 3
-
-
-def test_policy_gradient_zero_reward():
-    model = tiny(3, seed=5)
-    got = policy_gradient_estimate(model, [0], lambda y, p: 0.0, horizon=2,
-                                   n_samples=500, seed=9)
-    assert not got.any()
-
-
-def test_policy_gradient_constant_reward_vanishes():
-    model = tiny(3, seed=6)
-    est = policy_gradient_estimate(model, [0], lambda y, p: 1.0, horizon=2,
-                                   n_samples=100_000, seed=10)
-    # scale: mean per-sequence gradient norm over the enumerable space
-    norms = []
-    for s in iter_estimator_samples(model, [0], [0, 0], EnumerationBudget(3, 2)):
-        _, g = grad_log_prob(model, [0], s.sequence)
-        norms.append(np.linalg.norm(g))
-    assert np.linalg.norm(est) <= 0.05 * float(np.mean(norms))
-
-
-def test_policy_gradient_importance_corrected_matches_enumeration():
-    model = tiny(3, seed=7)
-    prompt, y_star = [1], [2]
-    exact = exact_policy_expectation(model, prompt, y_star, EnumerationBudget(3, 1))
-    n = 50_000
-    target = tuple(y_star)
-    est = policy_gradient_estimate(
-        model, prompt,
-        lambda y, p: (1.0 / p) if y == target else 0.0,
-        horizon=1, n_samples=n, seed=11,
-    )
-    # est = (k / (n p*)) * exact; check the scalar factor within 2 SE
-    logits = model.detached().forward(np.array([prompt])).data[0, -1]
-    e = np.exp(logits - logits.max())
-    p_star = float((e / e.sum())[y_star[0]])
-    idx = int(np.argmax(np.abs(exact)))
-    factor = est[idx] / exact[idx]
-    se = math.sqrt((1.0 - p_star) / (p_star * n))
-    assert abs(factor - 1.0) <= 2.0 * se + 1e-6
 
 
 def _pin_distribution(model, prompt, probs):

@@ -216,6 +216,30 @@ def test_zero_steps_returns_initial_model(tmp_path, reversal_data):
     assert (tmp_path / "run" / "ckpt_final.bin").exists()
 
 
+def test_train_run_continues_from_initial_model(reversal_data):
+    # the continued-training leg of RFT: a few steps from a trained base
+    base, _ = train_run(run_config(max_steps=20), reversal_data)
+    before = {k: t.data.copy() for k, t in base.params.items()}
+    cfg = run_config(loss=LossSpec(kind="dft_token"), learning_rate=1e-3, batch_size=4,
+                     max_steps=3, warmup_ratio=0.0, seed=2)
+    out, _ = train_run(cfg, reversal_data, initial_model=base)
+    # the starting point was the base, not a fresh init
+    fresh = Model(cfg.model)
+    diff_fresh = sum(
+        float(np.abs(out.params[k].data - fresh.params[k].data).sum())
+        for k in out.params
+    )
+    diff_base = sum(
+        float(np.abs(out.params[k].data - base.params[k].data).sum())
+        for k in out.params
+    )
+    assert diff_base < diff_fresh
+    # and the base model itself was not mutated
+    assert not np.array_equal(out.params["head.b"].data,
+                              base.params["head.b"].data)
+    assert all(np.array_equal(base.params[k].data, v) for k, v in before.items())
+
+
 def test_train_reduces_loss_and_is_deterministic(tmp_path, reversal_data):
     cfg_a = run_config(max_steps=25, output_dir=str(tmp_path / "a"))
     cfg_b = run_config(max_steps=25, output_dir=str(tmp_path / "b"))
