@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .evalreport import (
+    check_bin_edges,
     comparison_report,
     evaluate,
     lowest_bin_tokens,
@@ -143,15 +144,14 @@ class PlanConfig(CommandConfig):
 
     run: RunConfig  # each planned run replaces some of its fields
     train_data: str
-    eval_data: Optional[str] = None  # train's learning-curve prompts
-    eval_in: Optional[str] = None
+    eval_in: Optional[str] = None  # also train's and figures' learning-curve prompts
     eval_ood: Optional[str] = None
     eval_prompt_cap: int = 0  # 0 keeps every eval prompt
     eval_k: int = 4
     eval_temperature: float = 1.0
-    sweep_learning_rates: Optional[list[float]] = field(  # sweep's runs, figures' lr axis
+    sweep_learning_rates: list[float] = field(  # sweep's runs, figures' lr axis
         default_factory=lambda: list(SWEEP_LEARNING_RATES))
-    sweep_batch_sizes: Optional[list[int]] = field(default_factory=list)
+    sweep_batch_sizes: list[int] = field(default_factory=list)
     sweep_max_steps: Optional[int] = None
 
     def __post_init__(self):
@@ -197,6 +197,8 @@ class AnalyzeConfig(CommandConfig):
     threshold: float = 0.05
 
     def __post_init__(self):
+        if self.bin_edges is not None:
+            check_bin_edges(self.bin_edges)
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"'threshold' must be in [0, 1], got {self.threshold!r}")
 
@@ -238,20 +240,22 @@ class _Plan:
     runs: list  # RunConfig per run, in run order
 
 
-def _plan(cfg: PlanConfig, runs, curve_from=None, splits=("in", "ood")) -> _Plan:
+def _plan(cfg: PlanConfig, runs, curve=False, splits=("in", "ood")) -> _Plan:
     """Read every file the config names and build every run's config.
 
     ``runs`` lists (run directory, changes to ``cfg.run``) pairs; each run
     is ``cfg.run`` with those fields replaced, so every field a run does not
-    change, ``loss``'s knobs included, comes from the base. A missing or
+    change, ``loss``'s knobs included, comes from the base. ``eval_{s}`` is
+    read for each split ``s`` a run is finally evaluated on, and ``eval_in``
+    also for a ``curve``, the learning curve's prompts. A missing or
     empty file, a bad run value, two runs sharing a directory, or an eval
     prompt that the task cannot parse or a run's context cannot sample
     from fails here, before the first run trains.
     """
     sets = {}
-    for key in dict.fromkeys([curve_from] + [f"eval_{s}" for s in splits]):  # no file read twice
-        path = key and getattr(cfg, key)
-        if path:
+    for split in ("in", "ood"):
+        key, path = f"eval_{split}", getattr(cfg, f"eval_{split}")
+        if path and (split in splits or curve and split == "in"):
             sets[key] = load_jsonl(path)[: cfg.eval_prompt_cap or None]
             if not sets[key]:
                 raise CliError(f"{key} {path!r} holds no items")
@@ -281,7 +285,7 @@ def _plan(cfg: PlanConfig, runs, curve_from=None, splits=("in", "ood")) -> _Plan
                                f"which fits 1 to {ctx - 1}")
     return _Plan(
         data=data,
-        curve_set=sets.get(curve_from, []),
+        curve_set=sets.get("eval_in", []) if curve else [],
         final_sets={s: sets[f"eval_{s}"] for s in splits if f"eval_{s}" in sets},
         sampling={"k": cfg.eval_k, "temperature": cfg.eval_temperature},
         runs=planned,
@@ -318,7 +322,7 @@ def cmd_gen_data(cfg: GenDataConfig) -> int:
 
 
 def cmd_train(cfg: PlanConfig) -> int:
-    plan = _plan(cfg, [(cfg.output_dir, {})], curve_from="eval_data", splits=())
+    plan = _plan(cfg, [(cfg.output_dir, {})], curve=True, splits=())
     _execute(plan, plan.runs[0])
     print(f"training complete: {cfg.output_dir}")
     return EXIT_OK
@@ -381,8 +385,10 @@ def cmd_report(cfg: ReportConfig) -> int:
 
 def cmd_sweep(cfg: PlanConfig) -> int:
     out = cfg.output_dir
+    if not cfg.sweep_learning_rates:
+        raise CliError("'sweep_learning_rates' is empty; sweep needs a learning rate to train")
     plan = _plan(cfg, [(os.path.join(out, f"lr{lr:g}"), {"learning_rate": lr})
-                       for lr in cfg.sweep_learning_rates or ()])
+                       for lr in cfg.sweep_learning_rates])
     for run in plan.runs:
         _execute(plan, run)
     _write_comparison(out, "", [run.output_dir for run in plan.runs])
@@ -411,12 +417,12 @@ def reproduce_figures(cfg: PlanConfig) -> dict:
         short.update(max_steps=cfg.sweep_max_steps, epochs=None)
     axes = {}
     for config_key, (axis, key) in SWEEP_AXES.items():
-        for value in getattr(cfg, config_key) or ():
+        for value in getattr(cfg, config_key):
             for kind in kinds:
                 run_dir = os.path.join(out, f"fig3_{axis}{value:g}_{kind}")
                 runs.append((run_dir, {**arms[kind], key: value, **short}))
                 axes.setdefault(axis, []).append(run_dir)
-    plan = _plan(cfg, runs, curve_from="eval_in")
+    plan = _plan(cfg, runs, curve=True)
 
     for i, run in enumerate(plan.runs):
         model = _execute(plan, run)

@@ -85,6 +85,13 @@ def evaluate(model: Model, eval_set, k: int, temperature: float, seed: int,
     )
 
 
+def check_bin_edges(edges) -> None:
+    """Histogram bin edges are two or more, ascending from 0 to 1."""
+    if len(edges) < 2 or edges[0] != 0.0 or edges[-1] != 1.0 or not all(
+            a < b for a, b in zip(edges, edges[1:])):
+        raise ValueError(f"'bin_edges' must ascend from 0 to 1 in 2 or more edges, got {edges}")
+
+
 @dataclass
 class ProbHistogram(Record):
     bin_edges: list[float]
@@ -94,12 +101,10 @@ class ProbHistogram(Record):
     model_tag: str
 
     def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=np.float64)
-        if edges.size < 2 or edges[0] != 0.0 or edges[-1] != 1.0 or (np.diff(edges) <= 0).any():
-            raise ValueError("bin edges must ascend from 0 to 1")
-        if len(self.counts) != edges.size - 1 or min(self.counts) < 0:
-            raise ValueError(f"histogram needs {edges.size - 1} non-negative counts, "
-                             f"got {self.counts}")
+        check_bin_edges(self.bin_edges)
+        n_bins = len(self.bin_edges) - 1
+        if len(self.counts) != n_bins or min(self.counts) < 0:
+            raise ValueError(f"histogram needs {n_bins} non-negative counts, got {self.counts}")
         if int(sum(self.counts)) != self.total:
             raise ValueError("histogram counts do not sum to the token total")
         self.fractions = [c / self.total if self.total else 0.0 for c in self.counts]

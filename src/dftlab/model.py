@@ -51,7 +51,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import os
 import struct
 import typing
@@ -81,47 +80,30 @@ _CKPT_MAGIC = b"DFTCKPT1"
 _MASK_FILL_VALUE = -1e30  # finite stand-in for -inf; softmax maps it to exactly 0
 
 
-# The JSON values each annotation accepts; bool is checked apart because it
-# is an Integral, and a tuple field is read from a JSON array.
-_JSON_TYPES = {int: numbers.Integral, float: numbers.Real, str: str, bool: bool,
-               dict: dict, tuple: list, type(None): type(None)}
-
-
 @functools.cache
 def _field_types(cls) -> dict:
     return typing.get_type_hints(cls)  # resolving string annotations would dominate from_dict
 
 
-def _fits(hint, value) -> bool:
-    """Whether the JSON ``value`` suits ``hint``: a key of ``_JSON_TYPES``,
-    ``list[X]``, a record, or an ``Optional`` of one of these."""
-    if typing.get_origin(hint) is typing.Union:
-        return any(_fits(option, value) for option in typing.get_args(hint))
-    if typing.get_origin(hint) is list:
-        (item,) = typing.get_args(hint)
-        return isinstance(value, list) and all(_fits(item, v) for v in value)
-    if hint in _JSON_TYPES:
-        return isinstance(value, _JSON_TYPES[hint]) and (hint is bool) == isinstance(value, bool)
-    return value is not None  # a record checks its own object in from_dict
-
-
-def _type_name(hint) -> str:
-    return hint.__name__ if isinstance(hint, type) else str(hint).replace("typing.", "")
-
-
-def _floats(hint, value):
-    """``value`` with every number read for a float as a float, as JSON
-    writes 1.0 as 1: for ``float`` and ``list[float]`` fields, ``Optional``
-    or not."""
-    if typing.get_origin(hint) is typing.Union:
-        hint = typing.get_args(hint)[0]
-    if value is None:
-        return value
-    if hint is float:
+def _decode(hint, value, where: str):
+    """The JSON ``value`` read as ``hint``, one of ``Record``'s field types,
+    in one pass: a value that does not fit is a ValueError naming ``where``."""
+    if hint is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
-    if hint == list[float]:
-        return [float(v) for v in value]
-    return value
+    if hint in (int, str, bool) and isinstance(value, hint) and (
+            (hint is bool) == isinstance(value, bool)):
+        return value
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:  # Optional[X]
+        return None if value is None else _decode(args[0], value, where)
+    if origin is list and isinstance(value, list):
+        return [_decode(args[0], v, f"{where} item {i}") for i, v in enumerate(value)]
+    if origin is tuple and isinstance(value, list) and len(value) == len(args):
+        return tuple(_decode(args[i], v, f"{where} item {i}") for i, v in enumerate(value))
+    if isinstance(hint, type) and issubclass(hint, Record):
+        return hint.from_dict(value)
+    name = hint.__name__ if isinstance(hint, type) else hint  # list[int] prints as such
+    raise ValueError(f"{where} must be {name}, got {value!r}")
 
 
 def _to_json(value):
@@ -136,20 +118,24 @@ class Record:
     """JSON codec shared by the dataclasses that are read from or written
     to JSON: configs, task specs, demonstrations and result records.
 
-    A derived field (``field(init=False)``, set in ``__post_init__``) is
-    written like any other and never passed to the constructor.
+    A field's type is ``int``, ``float``, ``str``, ``bool``, ``list[X]``,
+    ``tuple[X, Y]`` (a list of that length), a record, or ``Optional`` of
+    one of these; an int given for a float is read as a float, and a bool
+    is never a number. A derived field (``field(init=False)``, set in
+    ``__post_init__``) is written like any other and never passed to the
+    constructor.
     """
 
     @classmethod
     def from_dict(cls, d):
         """Build from a JSON object whose every key is a field of ``cls``.
 
-        A misspelt key, a missing field without a default, or a value of the
-        wrong type (``"abc"`` or ``2.5`` for an int) is a ValueError naming the
-        key instead of a TypeError or a failure mid-run. A nested record is
-        built through its own ``from_dict``; a ``tuple`` field takes a list;
-        an int given for a float field is read as a float. A stored derived
-        field must equal the value the other fields give.
+        A misspelt key, a missing field without a default, or a value that
+        does not fit its field's type at any depth (``2.5`` for an int,
+        ``[2]`` for a ``tuple[int, int]``) is a ValueError naming the key.
+        A nested record, ``Optional`` or not, is built through its own
+        ``from_dict``. A stored derived field must equal the value the
+        other fields give.
         """
         if not isinstance(d, dict):
             raise ValueError(f"{cls.__name__} needs a JSON object, got {d!r}")
@@ -161,23 +147,10 @@ class Record:
         if missing:
             raise ValueError(f"{cls.__name__} is missing field {', '.join(map(repr, missing))}")
         hints = _field_types(cls)
+        values = {key: _decode(hints[key], value, f"{cls.__name__} field {key!r}")
+                  for key, value in d.items()}
         derived = [f.name for f in fields(cls) if not f.init and f.name in d]
-        kwargs = {}
-        for key, value in d.items():
-            hint = hints[key]
-            if not _fits(hint, value):
-                raise ValueError(f"{cls.__name__} field {key!r} must be {_type_name(hint)}, "
-                                 f"got {value!r}")
-            if key in derived:
-                continue
-            if isinstance(hint, type) and issubclass(hint, Record):
-                value = hint.from_dict(value)
-            elif hint is tuple:
-                value = tuple(value)
-            else:
-                value = _floats(hint, value)
-            kwargs[key] = value
-        out = cls(**kwargs)
+        out = cls(**{key: value for key, value in values.items() if key not in derived})
         for key in derived:
             recomputed = _to_json(getattr(out, key))
             if d[key] != recomputed:

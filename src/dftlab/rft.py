@@ -49,7 +49,7 @@ class FilterStats(Record):
     n_verified: int
     n_retained: int
     keep_rate: float
-    per_prompt_kept: list = field(default_factory=list)
+    per_prompt_kept: list[int] = field(default_factory=list)
 
 
 def sample_and_filter(model: Model, prompts, verify_fn,

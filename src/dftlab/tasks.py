@@ -113,8 +113,8 @@ class Demonstration(Record):
 @dataclass
 class TaskSpec(Record):
     task_kind: str
-    train_difficulty_range: tuple
-    ood_difficulty_range: tuple
+    train_difficulty_range: tuple[int, int]
+    ood_difficulty_range: tuple[int, int]
     seed: int = 0
 
     def __post_init__(self):

@@ -395,7 +395,7 @@ def test_cli_chain_golden(tmp_path, capsys):
                                "ood_difficulty_range": [5, 6], "seed": 1},
                       "n_train": 16, "n_eval_in": 4, "n_eval_ood": 4, "output_dir": str(data)}),
         ("train", {"run": dict(MICRO_RUN, learning_rate=1e-2, max_steps=100, eval_every=50),
-                   "train_data": train_data, "eval_data": eval_in, "eval_k": 2,
+                   "train_data": train_data, "eval_in": eval_in, "eval_k": 2,
                    "output_dir": str(run)}),
         ("eval", {"checkpoint": ckpt, "eval_data": train_data, "k": 2, "temperature": 1,
                   "seed": 3, "output_dir": str(run)}),
@@ -473,15 +473,17 @@ def assert_wrote_nothing(out):
     ("sweep", {"sweep_learning_rates": [1e-3, 0.0010000001]}, "lr0.001",
      "'sweep_learning_rates'"),
     ("figures", {"sweep_batch_sizes": [2, 2]}, "fig1_sft", "'sweep_batch_sizes'"),
-    ("train", {"eval_data": "missing.jsonl"}, "ckpt_step0.bin", "missing.jsonl"),
+    ("train", {"eval_in": "missing.jsonl"}, "ckpt_step0.bin", "missing.jsonl"),
     ("figures", {"eval_ood": "empty.jsonl"}, "fig1_sft", "eval_ood"),
     ("sweep", {"eval_in": "malformed.jsonl"}, "lr0.001",
      "eval_in item 1: malformed reversal prompt 'abc'"),
     ("figures", {"run": dict(MICRO_RUN, loss={"kind": "focal", "gamma": 2.0})}, "fig1_sft",
      "gamma"),
+    ("sweep", {"sweep_learning_rates": []}, "comparison.json", "'sweep_learning_rates'"),
 ], ids=["figures-batch-0", "sweep-negative-lr", "sweep-duplicate-lr", "sweep-lrs-alike-under-g",
         "figures-duplicate-batch-size", "train-missing-eval-data",
-        "figures-empty-eval-file", "sweep-malformed-eval-prompt", "figures-focal-base"])
+        "figures-empty-eval-file", "sweep-malformed-eval-prompt", "figures-focal-base",
+        "sweep-no-learning-rates"])
 def test_bad_run_value_or_file_fails_before_training(tmp_path, base_config, capsys, subcommand,
                                                       changes, never_written, named):
     (tmp_path / "empty.jsonl").write_text("")
@@ -511,9 +513,10 @@ def test_bad_run_value_or_file_fails_before_training(tmp_path, base_config, caps
     ("gen-data", "n_trian=4"),
     ("report", "run_dir=[]"),
     ("sweep", "learning_rates=[1e-3]"),
+    ("train", "eval_data=eval_in.jsonl"),
 ], ids=["RunConfig", "ModelConfig", "LossSpec", "TaskSpec", "RftConfig", "verify-top-level",
         "figures-top-level", "eval-top-level", "gen-data-top-level", "report-top-level",
-        "sweep-merged-learning-rates-key"])
+        "sweep-merged-learning-rates-key", "train-eval-data-key"])
 def test_unknown_config_key_exits_one_naming_it(tmp_path, base_config, capsys,
                                                 subcommand, typo):
     cfg = write_config(tmp_path / "c.json", base_config[subcommand])
@@ -592,10 +595,19 @@ def test_verify_value_of_wrong_type_exits_one_naming_it(tmp_path, capsys, overri
     ("figures", {"sweep_batch_sizes": [2.5]}, "'sweep_batch_sizes'"),
     ("train", {"eval_prompt_cap": -1}, "'eval_prompt_cap'"),
     ("analyze", {"threshold": 2}, "'threshold'"),
+    ("gen-data", {"task": {"task_kind": "sequence-reversal", "train_difficulty_range": ["a", 3],
+                           "ood_difficulty_range": [9, 10]}}, "'train_difficulty_range' item 0"),
+    ("gen-data", {"task": {"task_kind": "sequence-reversal", "train_difficulty_range": [2],
+                           "ood_difficulty_range": [9, 10]}}, "'train_difficulty_range'"),
+    ("figures", {"sweep_batch_sizes": None}, "'sweep_batch_sizes'"),
+    ("analyze", {"bin_edges": []}, "'bin_edges'"),
+    ("analyze", {"bin_edges": [1, 0]}, "'bin_edges'"),
 ], ids=["eval-k-float", "eval-greedy-str", "eval-temperature-str", "eval-data-int",
         "output-dir-int", "eval-data-bad-line", "gen-data-n-train-str", "gen-data-n-eval-float",
         "task-range-int", "model-without-vocab-size", "figures-batch-float",
-        "negative-prompt-cap", "analyze-threshold-above-1"])
+        "negative-prompt-cap", "analyze-threshold-above-1", "task-range-str-item",
+        "task-range-one-value", "figures-batch-sizes-null", "analyze-no-bin-edges",
+        "analyze-bin-edges-descending"])
 def test_value_of_wrong_type_or_missing_exits_one_naming_it(tmp_path, base_config,
                                                             warm_checkpoint, capsys,
                                                             monkeypatch, subcommand,

@@ -129,6 +129,8 @@ def test_histogram_rejects_bad_edges():
         ProbHistogram(bin_edges=[0.0, 1.0], counts=[2], total=3, model_tag="")
     with pytest.raises(ValueError, match="edges"):
         ProbHistogram(bin_edges=[], counts=[], total=0, model_tag="")
+    with pytest.raises(ValueError, match="edges"):  # NaN compares false both ways
+        ProbHistogram(bin_edges=[0.0, float("nan"), 1.0], counts=[1, 0], total=1, model_tag="")
     with pytest.raises(ValueError, match="1 non-negative counts"):
         ProbHistogram(bin_edges=[0.0, 1.0], counts=[1, 0], total=1, model_tag="")
     with pytest.raises(ValueError, match="2 non-negative counts"):

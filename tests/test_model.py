@@ -3,7 +3,7 @@ import json
 import math
 import os
 import typing
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -15,6 +15,7 @@ from dftlab.model import (
     KVCache,
     Model,
     ModelConfig,
+    Record,
     expected_param_count,
     inverse_cdf,
     load_checkpoint,
@@ -56,6 +57,12 @@ def test_config_validation():
         ModelConfig(vocab_size=8, seed=-1)
 
 
+@dataclass
+class BasedRun(Record):
+    """A record with a run that may be null, as a protocol's base run is."""
+    base: Optional[RunConfig] = None
+
+
 @pytest.mark.parametrize("record", [
     SMALL,
     RunConfig(model=SMALL, loss=LossSpec(kind="focal", gamma=2.0), learning_rate=3e-3,
@@ -74,9 +81,11 @@ def test_config_validation():
     RunConfig(model=SMALL, learning_rate=1, batch_size=8, epochs=None, max_steps=20,
               grad_clip_norm=2),
     EvalResult("sequence-reversal", "in-dist", 1, 1, [[True]]),
+    BasedRun(base=RunConfig(model=ModelConfig(vocab_size=5))),
 ], ids=["ModelConfig", "RunConfig", "LossSpec-focal", "LossSpec-iw_sft", "RftConfig",
         "TaskSpec", "Demonstration", "EvalResult", "ProbHistogram", "TrainMetrics",
-        "FilterStats", "RunConfig-int-for-float", "EvalResult-int-for-float"])
+        "FilterStats", "RunConfig-int-for-float", "EvalResult-int-for-float",
+        "Optional-RunConfig"])
 def test_record_round_trip(record):
     decoded = type(record).from_dict(json.loads(json.dumps(record.to_dict())))
     assert decoded == record
@@ -85,6 +94,18 @@ def test_record_round_trip(record):
         value = getattr(decoded, f.name)
         if hints[f.name] in (float, Optional[float]) and value is not None:
             assert type(value) is float, f.name
+
+
+@pytest.mark.parametrize("record, d, named", [
+    (FilterStats, {"n_prompts": 1, "n_samples": 2, "n_verified": 0, "n_retained": 0,
+                   "keep_rate": 0.0, "per_prompt_kept": "zz"}, "'per_prompt_kept' must be"),
+    (FilterStats, {"n_prompts": 1, "n_samples": 2, "n_verified": 0, "n_retained": 0,
+                   "keep_rate": 0.0, "per_prompt_kept": [1.5]}, "'per_prompt_kept' item 0"),
+    (BasedRun, {"base": {"model": 3}}, "ModelConfig needs a JSON object, got 3"),
+], ids=["FilterStats-str-for-list", "FilterStats-float-in-list", "Optional-RunConfig-bad-model"])
+def test_from_dict_names_a_value_that_does_not_fit(record, d, named):
+    with pytest.raises(ValueError, match=named):
+        record.from_dict(d)
 
 
 def test_causality_by_input_perturbation(small_model):
