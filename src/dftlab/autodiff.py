@@ -8,9 +8,10 @@ and runs each node's backward rule exactly once.
 Primitives: ``add``, ``mul``, ``matmul``, ``softmax``,
 ``scaled_masked_softmax`` (attention scores: ``softmax`` of ``mask_fill``
 of ``scale``, fused into one node), ``log``, ``exp``, ``gather``,
-``tensor_sum``, ``tensor_mean``, ``layer_norm``, ``gelu``, ``transpose``,
-``reshape``, ``embedding``, ``scale``, ``mask_fill``, ``pow_const`` and
-``stop_gradient``.
+``tensor_sum``, ``tensor_mean``, ``layer_norm``, ``gelu``, ``mlp`` (a
+transformer MLP, ``gelu(x @ w1 + b1) @ w2 + b2``, fused into one node),
+``transpose``, ``reshape``, ``embedding``, ``scale``, ``mask_fill``,
+``pow_const`` and ``stop_gradient``.
 
 Conventions
 
@@ -36,7 +37,9 @@ Conventions
   never an input Tensor. So an interior tensor the caller drops is freed
   at once, together with its array unless some rule reads that array:
   the pre-bias output of a ``matmul``, or the scores fed to a softmax,
-  do not outlive the next op. There is no reference cycle, and a graph
+  do not outlive the next op. ``mlp``'s rule reads only its input and
+  weights and recomputes the hidden layer, so a graph holds no
+  (batch, length, hidden) array. There is no reference cycle, and a graph
   is freed as soon as the loss (and any ComputationRecord returned for
   it) is dropped, without waiting for the cyclic collector.
 * ``backward`` writes an interior tensor's ``.grad`` only while the
@@ -68,6 +71,13 @@ Conventions
   input as it is laid out, never of a contiguous copy: a copy of a
   transposed array reduces in another order. An input that fits in one
   block, or is not C-contiguous, runs as one block on the arrays as given.
+* ``mlp`` blocks by whole batch rows, at most ``BLOCK_ELEMS`` hidden
+  elements each (or one row), forward and backward. numpy's matmul runs
+  one gemm per batch row, so a row's products do not depend on its block;
+  the bias add and gelu are the same elementwise kernels, and the weight
+  and bias gradients carry their sums over batch rows from block to
+  block. Backward recomputes each block's hidden layer, one extra
+  ``x @ w1`` and gelu forward per step.
 """
 
 from __future__ import annotations
@@ -547,6 +557,78 @@ def gelu(x: Tensor) -> Tensor:
         return _blocked(_gelu_backward, (xd, t, g), (xd.shape,), scratch=2)
 
     return _make(out, "gelu", (x,), bw)
+
+
+def _mlp_hidden(x, w1, b1, u, t, h, buf) -> None:
+    # u = x @ w1 + b1, then gelu's t and h = gelu(u), each into its buffer
+    np.matmul(x, w1, out=u)
+    np.add(u, b1, u)
+    _gelu_forward(u, t, h, buf)
+
+
+def _carry_rows(a: np.ndarray, carry: Optional[np.ndarray]) -> np.ndarray:
+    """Sum ``a`` over its first axis, carrying on from ``carry``, the sum of earlier rows.
+
+    numpy adds rows in order, so adding ``carry`` into the first row
+    (which ``a`` then no longer holds) continues the unblocked sum.
+    """
+    if carry is not None:
+        a[0] += carry
+    return np.add.reduce(a, axis=0)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``add(matmul(gelu(add(matmul(x, w1), b1)), w2), b2)`` as one node, bit for bit.
+
+    ``x`` is (batch, length, d). The (batch, length, hidden) layer is never
+    held whole: forward and backward run blocks of whole batch rows, at
+    most BLOCK_ELEMS hidden elements each (or one row), and the node keeps
+    only ``x``; backward recomputes each block's hidden layer with the same
+    kernels. numpy's matmul runs one gemm per batch row, so a block's rows
+    get the chain's bits, and the weight and bias gradients carry their
+    sums over batch rows from block to block in row order.
+    """
+    xd, w1d, b1d, w2d, b2d = x.data, w1.data, b1.data, w2.data, b2.data
+    if xd.ndim != 3:
+        raise ValueError(f"mlp: input must be (batch, length, d), got {x.shape}")
+    if (w1d.ndim != 2 or w2d.ndim != 2 or w1d.shape[0] != xd.shape[2]
+            or w2d.shape[0] != w1d.shape[1]
+            or b1d.shape != w1d.shape[1:] or b2d.shape != w2d.shape[1:]):
+        raise ValueError(f"mlp: weights {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape} "
+                         f"do not fit an input of shape {x.shape}")
+    rows, length, hidden = xd.shape[0], xd.shape[1], w1d.shape[1]
+    step = max(1, BLOCK_ELEMS // (length * hidden))
+    blocks = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+    def buffers(count):
+        return [np.empty((min(step, rows), length, hidden)) for _ in range(count)]
+
+    out = np.empty((rows, length, w2d.shape[1]))
+    u, t, h, buf = buffers(4)
+    for lo, hi in blocks:
+        n = hi - lo
+        _mlp_hidden(xd[lo:hi], w1d, b1d, u[:n], t[:n], h[:n], buf[:n])
+        ob = np.matmul(h[:n], w2d, out=out[lo:hi])
+        np.add(ob, b2d, ob)
+
+    def bw(g):
+        gx = np.empty(xd.shape)
+        gw1 = gb1 = gw2 = None
+        u, t, h, buf, du = buffers(5)
+        for lo, hi in blocks:
+            n = hi - lo
+            xb, gb, ub, hb = xd[lo:hi], g[lo:hi], u[:n], h[:n]
+            _mlp_hidden(xb, w1d, b1d, ub, t[:n], hb, buf[:n])
+            gw2 = _carry_rows(np.matmul(np.swapaxes(hb, -1, -2), gb), gw2)
+            gh = np.matmul(gb, w2d.T, out=hb)
+            # gelu's backward reads u before writing gu over it
+            (gu,) = _gelu_backward(ub, t[:n], gh, ub, du[:n], buf[:n])
+            np.matmul(gu, w1d.T, out=gx[lo:hi])
+            gw1 = _carry_rows(np.matmul(np.swapaxes(xb, -1, -2), gu), gw1)
+            gb1 = _carry_rows(gu, gb1)
+        return (gx, gw1, np.add.reduce(gb1, axis=0), gw2, _unbroadcast(g, b2d.shape))
+
+    return _make(out, "mlp", (x, w1, b1, w2, b2), bw)
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:

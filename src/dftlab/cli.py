@@ -4,10 +4,11 @@ Every subcommand reads one JSON config file, applies ``--set key=value``
 overrides (dotted keys, values parsed as JSON when possible), echoes the
 effective config into the output directory before doing any work, and
 exits 0 on success, 1 on a validation problem, or 2 on a runtime failure
-(non-finite loss, empty rejection sampling yield). Validation problems
-are an unusable config, an unknown config key or flag, a config value
-of the wrong type or a missing required field (each named), and an
-unreadable input file or one with a malformed line (named with its line
+(non-finite loss, empty rejection sampling yield, an ``OSError`` such as
+a full disk once the subcommand has started). Validation problems are an
+unusable config, an unknown config key or flag, a config value of the
+wrong type or a missing required field (each named), and an unreadable
+input file (named) or one with a malformed line (named with its line
 number).
 
 Each subcommand's top-level keys are the fields of one ``Record``
@@ -108,6 +109,14 @@ def _load_config(path: str, assignments) -> dict:
     if not isinstance(config, dict):
         raise CliError("config root must be a JSON object")
     return apply_overrides(config, assignments)
+
+
+def _read(load, path):
+    """``load(path)``; a file the config names that cannot be read is a config problem."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise CliError(f"cannot read {path!r}: {exc.strerror or exc}") from None
 
 
 def _prepare_dir(config: dict, out, required: bool):
@@ -256,10 +265,10 @@ def _plan(cfg: PlanConfig, runs, curve=False, splits=("in", "ood")) -> _Plan:
     for split in ("in", "ood"):
         key, path = f"eval_{split}", getattr(cfg, f"eval_{split}")
         if path and (split in splits or curve and split == "in"):
-            sets[key] = load_jsonl(path)[: cfg.eval_prompt_cap or None]
+            sets[key] = _read(load_jsonl, path)[: cfg.eval_prompt_cap or None]
             if not sets[key]:
                 raise CliError(f"{key} {path!r} holds no items")
-    data = load_jsonl(cfg.train_data)
+    data = _read(load_jsonl, cfg.train_data)
     planned = [replace(cfg.run, output_dir=run_dir, **changes) for run_dir, changes in runs]
     dirs = [run_dir for run_dir, _ in runs]
     for i, (run_dir, changes) in enumerate(runs):
@@ -329,8 +338,8 @@ def cmd_train(cfg: PlanConfig) -> int:
 
 
 def cmd_eval(cfg: EvalConfig) -> int:
-    model = load_checkpoint(cfg.checkpoint)
-    data = load_jsonl(cfg.eval_data)
+    model = _read(load_checkpoint, cfg.checkpoint)
+    data = _read(load_jsonl, cfg.eval_data)
     result, path = _write_eval(cfg.output_dir, cfg.split, model, data, k=cfg.k,
                                temperature=cfg.temperature, seed=cfg.seed, greedy=cfg.greedy)
     print(f"avg@{result.k} = {result.avg_at_k:.4f} ({cfg.split}) -> {path}")
@@ -338,8 +347,8 @@ def cmd_eval(cfg: EvalConfig) -> int:
 
 
 def cmd_rft_sample(cfg: RftSampleConfig) -> int:
-    model = load_checkpoint(cfg.checkpoint)
-    prompts = load_jsonl(cfg.prompts_data)
+    model = _read(load_checkpoint, cfg.checkpoint)
+    prompts = _read(load_jsonl, cfg.prompts_data)
     retained, stats = sample_and_filter(model, prompts, verify, cfg.rft)
     save_jsonl(retained, os.path.join(cfg.output_dir, "filtered.jsonl"))
     _write_json(os.path.join(cfg.output_dir, "rft_stats.json"), stats.to_dict())
@@ -362,8 +371,8 @@ def cmd_verify(cfg: VerifyCommandConfig) -> int:
 
 
 def cmd_analyze(cfg: AnalyzeConfig) -> int:
-    model = load_checkpoint(cfg.checkpoint)
-    data = load_jsonl(cfg.data)
+    model = _read(load_checkpoint, cfg.checkpoint)
+    data = _read(load_jsonl, cfg.data)
     tag = os.path.basename(cfg.checkpoint) if cfg.model_tag is None else cfg.model_tag
     hist = token_histogram(model, data, model_tag=tag, bin_edges=cfg.bin_edges)
     _write_json(os.path.join(cfg.output_dir, "histogram.json"), hist.to_dict())
@@ -484,9 +493,13 @@ def dispatch(argv) -> int:
         cfg = record.from_dict(config)
         cfg.output_dir = _prepare_dir(config, args.out or cfg.output_dir,
                                       required=args.subcommand != "verify")
-        code = handler(cfg)
-        if cfg.output_dir:
-            write_manifest(cfg.output_dir)
+        try:
+            code = handler(cfg)
+            if cfg.output_dir:
+                write_manifest(cfg.output_dir)
+        except OSError as exc:  # not an input file (_read names those): a runtime failure
+            print(f"failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
         return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,8 @@ bits whichever segments share the step. ``sample_batch`` prefills one
 segment per prompt-length group, then forwards one position per
 still-running row of every group per step, and drops a row from the batch
 and from the cache once it has emitted EOS or reached its group's limit.
+Each block's MLP is one ``autodiff.mlp`` node, which keeps only its input
+for backward and recomputes the hidden layer there.
 
 Checkpoint file layout (little-endian throughout):
 
@@ -63,10 +65,10 @@ from .autodiff import (
     add,
     embedding,
     gather,
-    gelu,
     layer_norm,
     log,
     matmul,
+    mlp,
     reshape,
     scaled_masked_softmax,
     softmax,
@@ -418,9 +420,8 @@ class Model:
             x = add(x, out)
 
             ln2 = layer_norm(x, p[pre + "ln2.weight"], p[pre + "ln2.bias"])
-            m = gelu(add(matmul(ln2, p[pre + "mlp.w1"]), p[pre + "mlp.b1"]))
-            m = add(matmul(m, p[pre + "mlp.w2"]), p[pre + "mlp.b2"])
-            x = add(x, m)
+            x = add(x, mlp(ln2, p[pre + "mlp.w1"], p[pre + "mlp.b1"],
+                           p[pre + "mlp.w2"], p[pre + "mlp.b2"]))
 
         x = layer_norm(x, p["lnf.weight"], p["lnf.bias"])
         return add(matmul(x, p["head.w"]), p["head.b"])

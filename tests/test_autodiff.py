@@ -20,6 +20,7 @@ from dftlab.autodiff import (
     log,
     mask_fill,
     matmul,
+    mlp,
     mul,
     pow_const,
     reshape,
@@ -71,6 +72,12 @@ def test_shape_mismatch_diagnostics():
         mul(Tensor(np.zeros(3)), Tensor(np.zeros((2, 4))))
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+    weights = [Tensor(np.zeros(s)) for s in ((8, 32), (32,), (32, 8), (8,))]
+    with pytest.raises(ValueError, match=r"^mlp: input must be \(batch, length, d\), "
+                                         r"got \(4, 8\)$"):
+        mlp(Tensor(np.zeros((4, 8))), *weights)
+    with pytest.raises(ValueError, match=r"^mlp: weights .* input of shape \(2, 3, 7\)$"):
+        mlp(Tensor(np.zeros((2, 3, 7))), *weights)
 
 
 def test_gather_index_out_of_range():
@@ -190,6 +197,36 @@ def test_reduction_forwards_keep_the_bits_of_the_mean_max_sum_formulas(shape, or
         want, (want_gx,) = _grads(composed, g, x)
         assert _bits(fused) == _bits(want)
         assert _bits(gx) == _bits(want_gx)
+
+
+def _mlp_chain(x, w1, b1, w2, b2):
+    return add(matmul(gelu(add(matmul(x, w1), b1)), w2), b2)
+
+
+@pytest.mark.parametrize("shape", [
+    (7, 32, 32),
+    (8, 32, 32),
+    (9, 32, 32),
+    (21, 32, 32),
+    (40, 1, 32),
+    (243, 6, 8),
+], ids=["block-minus-1-row", "block", "block-plus-1-row", "ragged-blocks", "decode-step",
+        "oracle"])
+def test_mlp_keeps_the_bits_of_the_unfused_chain(shape):
+    # A (b, 32, 32) input has 32 * 128 hidden elements a row, so 8 rows make
+    # a block: below, at and just past one block, then blocks of 8, 8 and 5.
+    # The oracles' (243, 6, 8) runs as blocks of 170 and 73 rows.
+    assert BLOCK == 8 * 32 * 128
+    rng = np.random.default_rng(5)
+    d = shape[-1]
+    arrays = (rng.standard_normal(shape), rng.standard_normal((d, 4 * d)) / math.sqrt(d),
+              rng.standard_normal(4 * d), rng.standard_normal((4 * d, d)) / math.sqrt(4 * d),
+              rng.standard_normal(d))
+    g = rng.standard_normal(shape)
+    out, grads = _grads(mlp, g, *arrays)
+    want, want_grads = _grads(_mlp_chain, g, *arrays)
+    assert _bits(out) == _bits(want)
+    assert [_bits(a) for a in grads] == [_bits(a) for a in want_grads]
 
 
 # --- backward basics ---

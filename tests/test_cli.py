@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import sys
 
 import pytest
 
+from dftlab import cli
 from dftlab.cli import apply_overrides, dispatch
 from dftlab.losses import LossSpec
 from dftlab.model import ModelConfig, save_checkpoint
@@ -499,6 +501,34 @@ def test_bad_run_value_or_file_fails_before_training(tmp_path, base_config, caps
     assert "error" in err and named in err
     assert not (out / never_written).exists()
     assert not (out / "ckpt_final.bin").exists()
+
+
+@pytest.mark.parametrize("subcommand,key", [
+    ("eval", "checkpoint"),
+    ("analyze", "data"),
+    ("rft-sample", "prompts_data"),
+])
+def test_unreadable_input_file_exits_one_naming_it(tmp_path, base_config, capsys,
+                                                   subcommand, key):
+    missing = str(tmp_path / "missing.bin")
+    config = dict(base_config[subcommand], **{key: missing})
+    assert dispatch([subcommand, "--config", write_config(tmp_path / "c.json", config)]) == 1
+    assert f"error: cannot read {missing!r}" in capsys.readouterr().err
+
+
+def test_write_failure_mid_run_exits_two(tmp_path, base_config, capsys, monkeypatch):
+    # A full disk is a runtime failure, not an unusable config.
+    write_json = cli._write_json
+
+    def full_disk(path, payload, **kwargs):
+        if os.path.basename(path) == "verify_report.json":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+        write_json(path, payload, **kwargs)
+
+    monkeypatch.setattr(cli, "_write_json", full_disk)
+    config = write_config(tmp_path / "c.json", base_config["verify"])
+    assert dispatch(["verify", "--config", config]) == 2
+    assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("subcommand,typo", [
