@@ -25,6 +25,19 @@ and from the cache once it has emitted EOS or reached its group's limit.
 Each block's MLP is one ``autodiff.mlp`` node, which keeps only its input
 for backward and recomputes the hidden layer there.
 
+A forward without a cache, on a model with no parameter that requires
+grad, of at least 2 rows with rows × length × ``d_model`` at least
+``BLOCK_ELEMS``, in a process whose CPU affinity allows 2 CPUs or more,
+runs rows ``[b//2:]`` on one persistent helper thread while the caller
+runs the rest, and concatenates the logits. Both halves run the same
+serial forward, and no row's arithmetic depends on the other rows, so
+the logits keep their bits. That covers the teacher-forced read-outs and
+iw_sft's reference log-probs; training forwards, cached prefills and
+decode steps stay on the caller's thread. A caller that finds the
+helper busy with another thread's rows runs all its rows itself. A
+forked child drops its parent's helper and starts its own. There is no
+option: the input, the affinity and the parameters decide.
+
 Checkpoint file layout (little-endian throughout):
 
     magic           8 bytes  b"DFTCKPT1"
@@ -55,12 +68,14 @@ import json
 import math
 import os
 import struct
+import threading
 import typing
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .autodiff import (
+    BLOCK_ELEMS,
     Tensor,
     add,
     embedding,
@@ -286,6 +301,50 @@ class KVCache:
         return seg[layer]
 
 
+_helper_lock = threading.Lock()  # held by the one caller whose rows the helper runs
+_helper = None  # the helper thread: a one-worker executor, made at the first split
+
+
+def _drop_helper() -> None:
+    """A forked child has no helper thread, only its parent's record of one."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _split_rows(model: "Model", ids: np.ndarray) -> Tensor:
+    """``model._rows(ids)``, with rows ``[b//2:]`` run on the helper thread.
+
+    No row's arithmetic depends on another row, so the logits keep their
+    bits. A caller that finds the helper busy runs all its rows itself.
+    """
+    global _helper
+    lock = _helper_lock
+    if not lock.acquire(blocking=False):
+        return model._rows(ids)
+    try:
+        if _helper is None:
+            from concurrent.futures import ThreadPoolExecutor  # loads logging: not at import
+
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="dftlab-forward")
+        half = len(ids) // 2
+        rest = _helper.submit(model._rows, ids[half:])
+        try:
+            first = model._rows(ids[:half]).data
+        finally:
+            second = rest.result()  # read even when the caller's half raised
+    finally:
+        lock.release()
+    return Tensor(np.concatenate([first, second.data]))
+
+
 class Model:
     """Decoder-only transformer; owns named parameter tensors."""
 
@@ -375,6 +434,19 @@ class Model:
                 )
             if not cache.segments:
                 cache.segments.append([])
+        elif (b >= 2 and b * t * c.d_model >= BLOCK_ELEMS and _usable_cpus() >= 2
+              and not any(w.requires_grad for w in self.params.values())):
+            return _split_rows(self, ids)
+        return self._rows(ids, cache, starts, rows)
+
+    def _rows(self, ids: np.ndarray, cache: KVCache | None = None, starts=(0,),
+              rows=None) -> Tensor:
+        """``forward`` after its checks. ``_split_rows`` runs it on two
+        threads at once, so it never calls ``forward``: a traced run wraps
+        that name with a span recorder only one thread may use."""
+        b, t = ids.shape
+        c = self.config
+        rows = rows or [b]
         p = self.params
         h = c.n_heads
         hd = c.d_model // h

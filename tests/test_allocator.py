@@ -2,6 +2,7 @@ import ctypes
 import types
 
 from dftlab.allocator import (
+    M_ARENA_MAX,
     M_MMAP_THRESHOLD,
     M_TRIM_THRESHOLD,
     process_libc,
@@ -17,8 +18,9 @@ def test_set_malloc_thresholds_calls_mallopt_with_both_parameters():
         return 1
 
     assert set_malloc_thresholds(types.SimpleNamespace(mallopt=mallopt))
-    assert calls == [(M_MMAP_THRESHOLD, 32 << 20), (M_TRIM_THRESHOLD, 128 << 20)]
-    assert (M_MMAP_THRESHOLD, M_TRIM_THRESHOLD) == (-3, -1)  # glibc's malloc.h
+    assert calls == [(M_MMAP_THRESHOLD, 32 << 20), (M_TRIM_THRESHOLD, 128 << 20),
+                     (M_ARENA_MAX, 1)]
+    assert (M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, M_ARENA_MAX) == (-3, -1, -8)  # glibc's malloc.h
     assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
     assert mallopt.restype is ctypes.c_int
 
