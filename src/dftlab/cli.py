@@ -19,10 +19,10 @@ before the output directory is made, so a misspelt or mistyped key at
 any depth, ``run.*`` included, exits 1 having written nothing. Each
 command's ``manifest.json`` is written once its handler returns.
 
-``train``, ``sweep`` and ``figures`` read every file the config names,
-build every run's config from the decoded ``run`` (``dataclasses.replace``
-of the fields a run changes) and check every eval prompt against each
-run's context and the task's prompt format before the first run trains.
+``train``, ``sweep`` and ``figures`` each list their legs (one per run: its
+directory, the fields of the decoded ``run`` it replaces, what it evaluates
+and writes) and comparison tables. ``_run_plan`` reads every file and checks
+every leg before the first leg trains, then trains them in order.
 
 Run ``dftlab <subcommand> --help`` for per-command flags; config schemas
 are documented in the README.
@@ -75,13 +75,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_VALIDATION)
 
 
-def _coerce(raw: str):
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
-
-
 def apply_overrides(config: dict, assignments) -> dict:
     """Apply dotted-key overrides like run.learning_rate=5e-4."""
     for item in assignments or ():
@@ -94,7 +87,10 @@ def apply_overrides(config: dict, assignments) -> dict:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise CliError(f"override {key!r} walks through a non-object")
-        node[parts[-1]] = _coerce(raw)
+        try:
+            node[parts[-1]] = json.loads(raw)
+        except json.JSONDecodeError:
+            node[parts[-1]] = raw
     return config
 
 
@@ -168,6 +164,8 @@ class PlanConfig(CommandConfig):
             raise ValueError(f"'eval_prompt_cap' must be >= 0, got {self.eval_prompt_cap}")
         if self.eval_k < 1:
             raise ValueError(f"'eval_k' must be >= 1, got {self.eval_k}")
+        if self.eval_temperature <= 0:
+            raise ValueError(f"'eval_temperature' must be > 0, got {self.eval_temperature}")
 
 
 @dataclass(kw_only=True)
@@ -183,6 +181,10 @@ class EvalConfig(CommandConfig):
     def __post_init__(self):
         if self.split not in ("in", "ood"):
             raise ValueError(f"'split' must be 'in' or 'ood', got {self.split!r}")
+        if self.k < 1:
+            raise ValueError(f"'k' must be >= 1, got {self.k}")
+        if self.temperature <= 0 and not self.greedy:
+            raise ValueError(f"'temperature' must be > 0 unless greedy, got {self.temperature}")
 
 
 @dataclass(kw_only=True)
@@ -241,80 +243,83 @@ def _write_comparison(out: str, prefix: str, run_dirs) -> dict:
 
 
 @dataclass
-class _Plan:
-    data: list
-    curve_set: list  # prompts for the learning-curve hook; empty for none
-    final_sets: dict  # split -> prompts evaluated once a run ends
-    sampling: dict  # k and temperature of every eval
-    runs: list  # RunConfig per run, in run order
+class _Leg:
+    """One planned run of ``train``, ``sweep`` or ``figures``."""
+
+    run_dir: str
+    changes: dict  # the fields of cfg.run this run replaces
+    key: Optional[str] = None  # the config key its changes came from
+    curve: bool = False  # logs eval_in's avg@k every eval_every steps
+    splits: tuple = ("in", "ood")  # evaluated once it has trained
+    figure: Optional[str] = None  # tag of its learning_curve_{tag}.csv and histogram_{tag}.json
+
+    def reads(self, split: str) -> bool:
+        return split in self.splits or self.curve and split == "in"
 
 
-def _plan(cfg: PlanConfig, runs, curve=False, splits=("in", "ood")) -> _Plan:
-    """Read every file the config names and build every run's config.
+def _run_plan(cfg: PlanConfig, legs, comparisons=()) -> None:
+    """Check every leg, train the legs in order, then write each comparison.
 
-    ``runs`` lists (run directory, changes to ``cfg.run``) pairs; each run
-    is ``cfg.run`` with those fields replaced, so every field a run does not
-    change, ``loss``'s knobs included, comes from the base. ``eval_{s}`` is
-    read for each split ``s`` a run is finally evaluated on, and ``eval_in``
-    also for a ``curve``, the learning curve's prompts. A missing or
-    empty file, a bad run value, two runs sharing a directory, or an eval
-    prompt that the task cannot parse or a run's context cannot sample
-    from fails here, before the first run trains.
+    A leg's run is ``cfg.run`` with the leg's changes replaced, so every field
+    it does not change, ``loss``'s knobs included, comes from the base. A
+    missing or empty eval file that a leg reads, a bad run value, two legs
+    sharing a directory, or an eval prompt that the task cannot parse or a
+    leg's context cannot sample from fails before the first leg trains. Figure
+    files and each (file prefix, run directories) comparison go to ``cfg.output_dir``.
     """
-    sets = {}
+    out, sets = cfg.output_dir, {}
     for split in ("in", "ood"):
-        key, path = f"eval_{split}", getattr(cfg, f"eval_{split}")
-        if path and (split in splits or curve and split == "in"):
-            sets[key] = _read(load_jsonl, path)[: cfg.eval_prompt_cap or None]
-            if not sets[key]:
-                raise CliError(f"{key} {path!r} holds no items")
+        path = getattr(cfg, f"eval_{split}")
+        if path and any(leg.reads(split) for leg in legs):
+            sets[split] = _read(load_jsonl, path)[: cfg.eval_prompt_cap or None]
+            if not sets[split]:
+                raise CliError(f"eval_{split} {path!r} holds no items")
     data = _read(load_jsonl, cfg.train_data)
-    planned = [replace(cfg.run, output_dir=run_dir, **changes) for run_dir, changes in runs]
-    dirs = [run_dir for run_dir, _ in runs]
-    for i, (run_dir, changes) in enumerate(runs):
-        if run_dir in dirs[:i]:  # values equal under :g name one directory
-            key = next(k for k, (_, name) in SWEEP_AXES.items() if name in changes)
-            raise CliError(f"{key!r} lists two values that both name the run directory "
-                           f"{run_dir!r}; each value must differ under :g")
-    for key, demos in sets.items():  # the verifier recomputes each answer from its prompt
+    for split, demos in sets.items():  # the verifier recomputes each answer from its prompt
         for i, demo in enumerate(demos):
             try:
                 ground_truth_answer(demo.task, demo.prompt)
             except ValueError as exc:
-                raise CliError(f"{key} item {i}: {exc}")
-    prompt_lengths = {key: [len(d.prompt_ids) for d in demos] for key, demos in sets.items()}
-    for run in planned:  # the warmup must fit each run's own step count
-        warmup_steps_for(run, total_steps_for(run, len(data)))
+                raise CliError(f"eval_{split} item {i}: {exc}")
+    runs = []
+    for leg in legs:
+        run = replace(cfg.run, output_dir=leg.run_dir, **leg.changes)
+        if run.output_dir in [earlier.output_dir for earlier in runs]:  # equal under :g
+            raise CliError(f"{leg.key!r} lists two values that both name the run directory "
+                           f"{leg.run_dir!r}; each value must differ under :g")
+        warmup_steps_for(run, total_steps_for(run, len(data)))  # fits its own step count
         ctx = run.model.context_length
-        for key, lengths in prompt_lengths.items():  # sampling needs 1 to ctx - 1 tokens
+        for split in filter(leg.reads, sets):  # sampling needs 1 to ctx - 1 tokens
+            lengths = [len(d.prompt_ids) for d in sets[split]]
             bad = next((i for i, n in enumerate(lengths) if not 0 < n < ctx), None)
             if bad is not None:
-                raise CliError(f"{key} item {bad} has a {lengths[bad]}-token prompt; "
+                raise CliError(f"eval_{split} item {bad} has a {lengths[bad]}-token prompt; "
                                f"run {run.output_dir} samples with context_length {ctx}, "
                                f"which fits 1 to {ctx - 1}")
-    return _Plan(
-        data=data,
-        curve_set=sets.get("eval_in", []) if curve else [],
-        final_sets={s: sets[f"eval_{s}"] for s in splits if f"eval_{s}" in sets},
-        sampling={"k": cfg.eval_k, "temperature": cfg.eval_temperature},
-        runs=planned,
-    )
+        runs.append(run)
+    sampling = {"k": cfg.eval_k, "temperature": cfg.eval_temperature}
+    for leg, run in zip(legs, runs):
+        curve = []  # (step, in-dist avg@k) rows
 
+        def log_curve(step, model):
+            result = evaluate(model, sets["in"], **sampling,
+                              seed=derive_seed(run.seed, "curve", step))
+            curve.append((step, result.avg_at_k))
+            return {"in_dist_acc": result.avg_at_k}
 
-def _execute(plan: _Plan, run: RunConfig):
-    """Train one planned run, then write its final evals and manifest."""
-    def curve(step, model):
-        result = evaluate(model, plan.curve_set, **plan.sampling,
-                          seed=derive_seed(run.seed, "curve", step))
-        return {"in_dist_acc": result.avg_at_k}
-
-    hooks = [curve] if plan.curve_set and run.eval_every > 0 else []
-    model, _ = train_run(run, plan.data, eval_hooks=hooks)
-    for split, demos in plan.final_sets.items():
-        _write_eval(run.output_dir, split, model, demos, **plan.sampling,
-                    seed=derive_seed(run.seed, "final-eval", split))
-    write_manifest(run.output_dir)
-    return model
+        hooks = [log_curve] if leg.curve and "in" in sets else []
+        model, _ = train_run(run, data, eval_hooks=hooks)
+        for split in [s for s in leg.splits if s in sets]:
+            _write_eval(run.output_dir, split, model, sets[split], **sampling,
+                        seed=derive_seed(run.seed, "final-eval", split))
+        write_manifest(run.output_dir)
+        if leg.figure:
+            with open(os.path.join(out, f"learning_curve_{leg.figure}.csv"), "w") as f:
+                f.write("step,in_dist_acc\n" + "".join(f"{step},{acc!r}\n" for step, acc in curve))
+            hist = token_histogram(model, data, model_tag=leg.figure)
+            _write_json(os.path.join(out, f"histogram_{leg.figure}.json"), hist.to_dict())
+    for prefix, run_dirs in comparisons:
+        _write_comparison(out, prefix, run_dirs)
 
 
 # --- subcommands ---
@@ -331,8 +336,7 @@ def cmd_gen_data(cfg: GenDataConfig) -> int:
 
 
 def cmd_train(cfg: PlanConfig) -> int:
-    plan = _plan(cfg, [(cfg.output_dir, {})], curve=True, splits=())
-    _execute(plan, plan.runs[0])
+    _run_plan(cfg, [_Leg(cfg.output_dir, {}, curve=True, splits=())])
     print(f"training complete: {cfg.output_dir}")
     return EXIT_OK
 
@@ -396,62 +400,38 @@ def cmd_sweep(cfg: PlanConfig) -> int:
     out = cfg.output_dir
     if not cfg.sweep_learning_rates:
         raise CliError("'sweep_learning_rates' is empty; sweep needs a learning rate to train")
-    plan = _plan(cfg, [(os.path.join(out, f"lr{lr:g}"), {"learning_rate": lr})
-                       for lr in cfg.sweep_learning_rates])
-    for run in plan.runs:
-        _execute(plan, run)
-    _write_comparison(out, "", [run.output_dir for run in plan.runs])
-    print(f"swept {len(plan.runs)} learning rates -> {out}")
+    legs = [_Leg(os.path.join(out, f"lr{lr:g}"), {"learning_rate": lr}, "sweep_learning_rates")
+            for lr in cfg.sweep_learning_rates]
+    _run_plan(cfg, legs, [("", [leg.run_dir for leg in legs])])
+    print(f"swept {len(legs)} learning rates -> {out}")
     return EXIT_OK
 
 
-def reproduce_figures(cfg: PlanConfig) -> dict:
-    """Learning curves, histograms, and hyperparameter sweeps.
-
-    Trains the plain and token-scaled objectives under one shared config;
-    the two arms differ only in ``run.loss.kind``, so a base loss knob that
-    one kind rejects (focal's ``gamma``) fails before any run trains. Emits
-    accuracy-vs-step CSVs with identical step grids, histogram JSONs over
-    the same training set, and short learning-rate and batch-size sweep
-    tables. Returns the run directories produced.
-    """
+def cmd_figures(cfg: PlanConfig) -> int:
+    """Learning curves on one step grid and histograms over the training set
+    for the plain and token-scaled arms, plus short lr and batch-size sweeps
+    of both. The arms differ only in ``run.loss.kind``, so a base loss knob
+    that one kind rejects (focal's ``gamma``) fails before any run trains."""
     out = cfg.output_dir
     kinds = ("sft", "dft_token")
-    # convergence curves and final histograms under identical configs
     arms = {kind: {"loss": replace(cfg.run.loss, kind=kind)} for kind in kinds}
-    runs = [(os.path.join(out, f"fig1_{kind}"), arms[kind]) for kind in kinds]
+    # convergence curves and final histograms under identical configs
+    legs = [_Leg(os.path.join(out, f"fig1_{kind}"), arms[kind], curve=True, figure=kind)
+            for kind in kinds]
     # short sweeps over learning rate and batch size, both objectives
     short = {"eval_every": 0}
     if cfg.sweep_max_steps is not None:
         short.update(max_steps=cfg.sweep_max_steps, epochs=None)
-    axes = {}
-    for config_key, (axis, key) in SWEEP_AXES.items():
-        for value in getattr(cfg, config_key):
-            for kind in kinds:
-                run_dir = os.path.join(out, f"fig3_{axis}{value:g}_{kind}")
-                runs.append((run_dir, {**arms[kind], key: value, **short}))
-                axes.setdefault(axis, []).append(run_dir)
-    plan = _plan(cfg, runs, curve=True)
-
-    for i, run in enumerate(plan.runs):
-        model = _execute(plan, run)
-        if i < len(kinds):  # a fig1 arm: its learning curve and histogram
-            kind = kinds[i]
-            with open(os.path.join(out, f"learning_curve_{kind}.csv"), "w") as f, \
-                    open(os.path.join(run.output_dir, "evals.jsonl")) as evals:
-                f.write("step,in_dist_acc\n")
-                for row in map(json.loads, evals):
-                    f.write(f"{row['step']},{row['in_dist_acc']!r}\n")
-            hist = token_histogram(model, plan.data, model_tag=kind)
-            _write_json(os.path.join(out, f"histogram_{kind}.json"), hist.to_dict())
-    for axis, axis_dirs in axes.items():
-        _write_comparison(out, f"fig3_{axis}_", axis_dirs)
-    return {"run_dirs": [run.output_dir for run in plan.runs]}
-
-
-def cmd_figures(cfg: PlanConfig) -> int:
-    result = reproduce_figures(cfg)
-    print(f"figure runs: {len(result['run_dirs'])} -> {cfg.output_dir}")
+    comparisons = []
+    for config_key, (axis, name) in SWEEP_AXES.items():
+        axis_legs = [_Leg(os.path.join(out, f"fig3_{axis}{value:g}_{kind}"),
+                          {**arms[kind], name: value, **short}, config_key)
+                     for value in getattr(cfg, config_key) for kind in kinds]
+        if axis_legs:
+            legs += axis_legs
+            comparisons.append((f"fig3_{axis}_", [leg.run_dir for leg in axis_legs]))
+    _run_plan(cfg, legs, comparisons)
+    print(f"figure runs: {len(legs)} -> {out}")
     return EXIT_OK
 
 

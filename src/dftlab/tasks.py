@@ -264,7 +264,7 @@ def generate_dataset(spec: TaskSpec, n_train: int, n_eval_in: int,
         while len(out) < n:
             attempts += 1
             if attempts > 200 * n + 1000:
-                raise RuntimeError(
+                raise ValueError(
                     f"could not draw {n} distinct {spec.task_kind} prompts; "
                     "shrink the split or widen the difficulty range"
                 )

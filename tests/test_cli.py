@@ -196,6 +196,17 @@ def test_eval_writes_result(tmp_path, warm_checkpoint):
     assert 0.0 <= result["avg_at_k"] <= 1.0
 
 
+def test_greedy_eval_takes_temperature_zero(tmp_path, warm_checkpoint):
+    ckpt, prompts = warm_checkpoint
+    out = tmp_path / "eval"
+    cfg = write_config(tmp_path / "e.json", {
+        "checkpoint": ckpt, "eval_data": prompts, "k": 1, "temperature": 0, "greedy": True,
+        "output_dir": str(out),
+    })
+    assert dispatch(["eval", "--config", cfg]) == 0
+    assert json.loads((out / "eval_in.json").read_text())["temperature"] == 0
+
+
 # --- rft-sample ---
 
 
@@ -385,6 +396,23 @@ def test_figures_arms_differ_only_in_loss_kind(tmp_path, base_config):
             assert loss == {"kind": kind, "gamma": None, "reduction": "sum", "iw_clip": None}
 
 
+def run_chain_sha256(tmp_path, capsys, chain) -> str:
+    """Run each (subcommand, config) of ``chain``, then hash every output below tmp_path."""
+    codes = [dispatch([sub, "--config", write_config(tmp_path / f"{sub}.json", cfg)])
+             for sub, cfg in chain]
+    assert codes == [0] * len(chain), capsys.readouterr().err
+    h = hashlib.sha256()
+    # these hold output paths or wall-clock seconds
+    skip = {"effective_config.json", "manifest.json", "config.json", "metrics.jsonl"}
+    for path in sorted(tmp_path.rglob("*")):
+        if path.is_file() and path.parent != tmp_path and path.name not in skip:
+            body = path.read_bytes()
+            assert str(tmp_path).encode() not in body, path
+            h.update(str(path.relative_to(tmp_path)).encode())
+            h.update(body)
+    return h.hexdigest()
+
+
 def test_cli_chain_golden(tmp_path, capsys):
     # recorded once: every path-free artifact of a micro chain through seven
     # subcommands; guards the bytes a CLI refactor must keep
@@ -410,22 +438,40 @@ def test_cli_chain_golden(tmp_path, capsys):
                     "n_samples": 4000, "output_dir": str(tmp_path / "verify")}),
         ("report", {"run_dirs": [str(run)], "output_dir": str(tmp_path / "report")}),
     ]
-    codes = [dispatch([sub, "--config", write_config(tmp_path / f"{sub}.json", cfg)])
-             for sub, cfg in chain]
-    assert codes == [0] * len(chain), capsys.readouterr().err
-    h = hashlib.sha256()
-    # these hold output paths or wall-clock seconds
-    skip = {"effective_config.json", "manifest.json", "config.json", "metrics.jsonl"}
-    for path in sorted(tmp_path.rglob("*")):
-        if path.is_file() and path.parent != tmp_path and path.name not in skip:
-            body = path.read_bytes()
-            assert str(tmp_path).encode() not in body, path
-            h.update(str(path.relative_to(tmp_path)).encode())
-            h.update(body)
-    assert h.hexdigest() == GOLDEN_CLI_SHA256
+    assert run_chain_sha256(tmp_path, capsys, chain) == GOLDEN_CLI_SHA256
 
 
 GOLDEN_CLI_SHA256 = "7a2ea9b5841fe2680eed76d14b977c3e27a1a26177c477b47f35bbeacbbdfd4d"
+
+
+def test_planned_commands_golden(tmp_path, capsys):
+    # recorded once: every path-free artifact of sweep (two learning rates),
+    # figures (both sweep axes and a learning curve) and train on one micro
+    # dataset; guards the bytes a change to the plan executor must keep
+    data = tmp_path / "data"
+    plan = {"run": MICRO_RUN, "train_data": str(data / "train.jsonl"),
+            "eval_in": str(data / "eval_in.jsonl"), "eval_ood": str(data / "eval_ood.jsonl"),
+            "eval_k": 2}
+    chain = [
+        ("gen-data", {"task": {"task_kind": "sequence-reversal",
+                               "train_difficulty_range": [2, 3],
+                               "ood_difficulty_range": [5, 6], "seed": 1},
+                      "n_train": 16, "n_eval_in": 4, "n_eval_ood": 4, "output_dir": str(data)}),
+        ("sweep", dict(plan, sweep_learning_rates=[1e-3, 5e-4],
+                       output_dir=str(tmp_path / "sweep"))),
+        # its curve reads training prompts, which a micro model learns in 100 steps
+        ("figures", dict(plan, run=dict(MICRO_RUN, learning_rate=1e-2, max_steps=100,
+                                         eval_every=50),
+                         eval_in=str(data / "train.jsonl"), eval_prompt_cap=8,
+                         sweep_learning_rates=[1e-3], sweep_batch_sizes=[2, 4],
+                         sweep_max_steps=2, output_dir=str(tmp_path / "figures"))),
+        ("train", dict(plan, run=dict(MICRO_RUN, eval_every=1),
+                       output_dir=str(tmp_path / "train"))),
+    ]
+    assert run_chain_sha256(tmp_path, capsys, chain) == GOLDEN_PLAN_SHA256
+
+
+GOLDEN_PLAN_SHA256 = "4313e05b994a52c2e7a5cb01523de1b604abb8a9c1887b72a8e8ba52d863f5f4"
 
 
 def test_console_script_help():
@@ -482,10 +528,11 @@ def assert_wrote_nothing(out):
     ("figures", {"run": dict(MICRO_RUN, loss={"kind": "focal", "gamma": 2.0})}, "fig1_sft",
      "gamma"),
     ("sweep", {"sweep_learning_rates": []}, "comparison.json", "'sweep_learning_rates'"),
+    ("figures", {"sweep_learning_rates": [1e-3, 1e-3]}, "fig1_sft", "'sweep_learning_rates'"),
 ], ids=["figures-batch-0", "sweep-negative-lr", "sweep-duplicate-lr", "sweep-lrs-alike-under-g",
         "figures-duplicate-batch-size", "train-missing-eval-data",
         "figures-empty-eval-file", "sweep-malformed-eval-prompt", "figures-focal-base",
-        "sweep-no-learning-rates"])
+        "sweep-no-learning-rates", "figures-duplicate-lr"])
 def test_bad_run_value_or_file_fails_before_training(tmp_path, base_config, capsys, subcommand,
                                                       changes, never_written, named):
     (tmp_path / "empty.jsonl").write_text("")
@@ -632,12 +679,22 @@ def test_verify_value_of_wrong_type_exits_one_naming_it(tmp_path, capsys, overri
     ("figures", {"sweep_batch_sizes": None}, "'sweep_batch_sizes'"),
     ("analyze", {"bin_edges": []}, "'bin_edges'"),
     ("analyze", {"bin_edges": [1, 0]}, "'bin_edges'"),
+    ("sweep", {"eval_temperature": 0}, "'eval_temperature'"),
+    ("train", {"eval_temperature": 0}, "'eval_temperature'"),
+    ("figures", {"eval_temperature": -1}, "'eval_temperature'"),
+    ("eval", {"k": 0}, "'k'"),
+    ("eval", {"temperature": 0}, "'temperature'"),
+    ("gen-data", {"task": {"task_kind": "sequence-reversal", "train_difficulty_range": [1, 1],
+                           "ood_difficulty_range": [9, 10]}, "n_eval_in": 50},
+     "could not draw 50 distinct"),
 ], ids=["eval-k-float", "eval-greedy-str", "eval-temperature-str", "eval-data-int",
         "output-dir-int", "eval-data-bad-line", "gen-data-n-train-str", "gen-data-n-eval-float",
         "task-range-int", "model-without-vocab-size", "figures-batch-float",
         "negative-prompt-cap", "analyze-threshold-above-1", "task-range-str-item",
         "task-range-one-value", "figures-batch-sizes-null", "analyze-no-bin-edges",
-        "analyze-bin-edges-descending"])
+        "analyze-bin-edges-descending", "sweep-temperature-0", "train-temperature-0",
+        "figures-temperature-negative", "eval-k-0", "eval-temperature-0",
+        "gen-data-split-beyond-prompt-space"])
 def test_value_of_wrong_type_or_missing_exits_one_naming_it(tmp_path, base_config,
                                                             warm_checkpoint, capsys,
                                                             monkeypatch, subcommand,
