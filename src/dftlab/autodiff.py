@@ -11,7 +11,8 @@ of ``scale``, fused into one node), ``log``, ``exp``, ``gather``,
 ``tensor_sum``, ``tensor_mean``, ``layer_norm``, ``gelu``, ``mlp`` (a
 transformer MLP, ``gelu(x @ w1 + b1) @ w2 + b2``, fused into one node),
 ``transpose``, ``reshape``, ``embedding``, ``scale``, ``mask_fill``,
-``pow_const`` and ``stop_gradient``.
+``pow_const``, ``stop_gradient`` and ``row_join`` (two row halves' graphs
+stacked along the batch rows).
 
 Conventions
 
@@ -47,9 +48,18 @@ Conventions
   reference). A dropped interior tensor cannot be read, so no caller
   sees the difference; its gradient is freed as soon as its rule has
   used it.
-* A graph (one ComputationRecord, its nodes and their Tensors) belongs
-  to a single thread. There is no global tape, so independent graphs
-  never share state.
+* There is no global tape, so independent graphs never share state,
+  and any thread may build or walk its own. One graph is built and
+  walked by one thread, except across a ``row_join``: its two halves are
+  separate graphs over the same leaves, built by the caller of
+  ``Model.forward`` and its helper thread, and ``backward`` walks each
+  half's subgraph on its own thread (``_walk_halves``). The halves meet
+  only in the gradients of inputs without a batch-row axis, weights and
+  tables, which are sums over batch rows (``_RowSum``): the second
+  half's rows carry on from the first half's sum, in row order, so each
+  gradient has the bits of one graph over all the rows. Every other
+  gradient stays inside its half. Leaf ``.grad``s are written once,
+  after both halves, on the thread that called ``backward``.
 * Shape checks that numpy makes anyway (the broadcast in ``add`` and
   ``mul``) run only on the failure path: numpy computes first, and only
   when it refuses is the op's own error built. A cached decode step
@@ -83,6 +93,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import threading
 import weakref
 from typing import Callable, Optional, Sequence
 
@@ -189,12 +200,14 @@ class ComputationRecord:
 
     @classmethod
     def trace(cls, root: Tensor) -> "ComputationRecord":
+        return cls([] if root._node is None else cls._ops_behind(root._node))
+
+    @staticmethod
+    def _ops_behind(root: "OpNode") -> list:
         nodes = []
-        if root._node is None:
-            return cls(nodes)
         # OpNode defines no __eq__, so it hashes by identity.
         seen = set()
-        stack = [(root._node, False)]
+        stack = [(root, False)]
         while stack:
             node, post = stack.pop()
             if post:
@@ -205,9 +218,9 @@ class ComputationRecord:
             seen.add(node)
             stack.append((node, True))
             for parent in node.inputs:
-                if type(parent) is OpNode:
+                if type(parent) is not Tensor:
                     stack.append((parent, False))
-        return cls(nodes)
+        return nodes
 
 
 def _make(data: np.ndarray, op: str, inputs: tuple, backward_fn) -> Tensor:
@@ -221,8 +234,20 @@ def _make(data: np.ndarray, op: str, inputs: tuple, backward_fn) -> Tensor:
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcasted gradient back down to the original shape."""
+def _unbroadcast(grad: np.ndarray, shape: tuple, borrowed: bool = True):
+    """Sum a broadcasted gradient back down to the original shape.
+
+    A leading axis that ``shape`` lacks holds the batch rows, so in the
+    walk of a row half it is summed first as a ``_row_sum`` that the
+    halves share. ``borrowed`` is False when ``grad`` is the rule's own
+    product, not the gradient it received.
+    """
+    if grad.ndim > len(shape) and _this_thread.walk is not None:
+        return _row_sum(grad, finish=lambda rows: _sum_to(rows, shape), borrowed=borrowed)
+    return _sum_to(grad, shape)
+
+
+def _sum_to(grad: np.ndarray, shape: tuple) -> np.ndarray:
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -271,6 +296,132 @@ def _blocked(kernel: Callable, inputs: tuple, out_shapes: tuple, scratch: int = 
         n = min(step, rows - lo)
         kernel(*[v[lo:lo + n] for v in views], *[b[:n] for b in buffers])
     return outputs
+
+
+# --- sums over batch rows ---
+
+
+def _carry_rows(carry: Optional[np.ndarray], a: np.ndarray, axes: int = 1) -> np.ndarray:
+    """Sum ``a`` over its first ``axes`` axes, carrying on from ``carry``, the sum of earlier rows.
+
+    numpy adds the rows in order, so adding ``carry`` into the first row
+    (which ``a`` then no longer holds) continues the unblocked sum. The
+    sum is laid out as ``a`` is, and a later sum over it (``_sum_to``)
+    takes its order from that layout, so a copy of ``a`` must keep it.
+    """
+    if carry is not None:
+        a[(0,) * axes] += carry
+    return np.add.reduce(a, axis=tuple(range(axes)))
+
+
+def _carry_leading(carry: Optional[np.ndarray], a: np.ndarray) -> np.ndarray:
+    """``_carry_rows`` over every axis of ``a`` but the last."""
+    return _carry_rows(carry, a, a.ndim - 1)
+
+
+class _Halves:
+    """The row sums that the backward walks of a ``row_join``'s two halves share.
+
+    Slot k is the k-th ``_RowSum`` each walk opens; both halves open the
+    same sums in the same order, since they ran the same ops.
+    """
+
+    def __init__(self):
+        self.ready = threading.Condition()
+        self.first: dict = {}  # slot -> the first half's sum over its rows
+        self.first_ended = False  # the first half's walk is over, or raised
+        self.value: dict = {}  # slot -> the finished gradient
+
+    def hand_over(self, slot: int, total: np.ndarray) -> None:
+        with self.ready:
+            self.first[slot] = total
+            self.ready.notify()
+
+    def end_first(self) -> None:
+        with self.ready:
+            self.first_ended = True
+            self.ready.notify()
+
+    def take(self, slot: int) -> np.ndarray:
+        """The first half's sum for ``slot``, once it is there."""
+        with self.ready:
+            while slot not in self.first:
+                if self.first_ended:
+                    raise RuntimeError(f"row-join: the first row half ended without row sum {slot}")
+                self.ready.wait()
+            return self.first.pop(slot)
+
+
+class _HalfWalk:
+    __slots__ = ("halves", "half", "opened")
+
+    def __init__(self, halves: _Halves, half: int):
+        self.halves, self.half, self.opened = halves, half, 0
+
+
+class _ThisThread(threading.local):
+    walk: Optional[_HalfWalk] = None  # the row half this thread's backward walks, if any
+
+
+_this_thread = _ThisThread()
+
+
+class _RowSum:
+    """A gradient summed over batch rows, fed block by block in row order.
+
+    ``step(carry, *block)`` folds a block of rows into ``carry``, the sum
+    of the rows before it (None before the first block), and ``done``
+    returns ``finish`` of the sum of every row. ``add(..., borrowed=True)``
+    marks a block the rule does not own, such as the gradient it
+    received: it is copied before the carry is written into it.
+
+    In the backward walk of one half of a ``row_join`` the two halves
+    share the sum, and each half reduces its own rows. The first half's
+    rows come first: it hands its sum over at ``done`` and never waits.
+    The second half carries on from that sum, waiting for it as the sum
+    opens if it has not come yet, so it holds no unreduced rows and
+    runs at most about one rule behind the first half. In such a
+    walk ``done`` returns the ``_RowSum`` itself; the finished gradient
+    is read from its slot once both walks are over.
+    """
+
+    __slots__ = ("step", "finish", "carry", "walk", "slot")
+
+    def __init__(self, finish: Optional[Callable] = None, step: Callable = _carry_rows):
+        self.step, self.finish, self.carry = step, finish, None
+        walk = self.walk = _this_thread.walk
+        if walk is not None:
+            self.slot = walk.opened
+            walk.opened += 1
+            if walk.half:  # before the rule allocates anything for its rows
+                self.carry = walk.halves.take(self.slot)
+
+    def add(self, *block, borrowed: bool = False) -> None:
+        if borrowed and self.carry is not None:
+            block = tuple(a.copy(order="K") for a in block)  # laid out as given: see _carry_rows
+        self.carry = self.step(self.carry, *block)
+
+    def done(self):
+        walk, carry = self.walk, self.carry
+        self.carry = None
+        if walk is None:
+            return carry if self.finish is None else self.finish(carry)
+        if walk.half == 0:
+            walk.halves.hand_over(self.slot, carry)
+        else:
+            walk.halves.value[self.slot] = carry if self.finish is None else self.finish(carry)
+        return self
+
+
+def _row_sum(*block, finish: Optional[Callable] = None, step: Callable = _carry_rows,
+             borrowed: bool = False):
+    """A ``_RowSum`` of the one ``block``, done."""
+    if _this_thread.walk is None:  # one graph over all the rows: no sum to share
+        total = step(None, *block)
+        return total if finish is None else finish(total)
+    total = _RowSum(finish, step)
+    total.add(*block, borrowed=borrowed)
+    return total.done()
 
 
 # --- primitives ---
@@ -322,7 +473,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
+        gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape, borrowed=False)
         return (ga, gb)
 
     return _make(np.matmul(ad, bd), "matmul", (a, b), bw)
@@ -484,10 +635,9 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     xhat, out, inv = _blocked(forward, (x.data,), (x.shape, x.shape, x.shape[:-1] + (1,)))
 
     def bw(g):
-        gw = None  # sum of g * xhat over the rows of the blocks so far
+        gw = _RowSum(step=_carry_leading)  # of g * xhat
 
         def backward(xhatb, gb, invb, gx, buf):
-            nonlocal gw
             dxhat = buf = np.multiply(gb, w, buf)
             m = np.add.reduce(dxhat, axis=-1, keepdims=True)
             m /= d
@@ -498,14 +648,11 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
             np.multiply(xhatb, m, buf)
             np.subtract(gx, buf, gx)
             np.multiply(invb, gx, gx)
-            np.multiply(gb, xhatb, buf)
-            if gw is not None:  # numpy adds rows in order: carry on from the last block
-                buf[0] += gw
-            gw = np.add.reduce(buf, axis=tuple(range(buf.ndim - 1)))
+            gw.add(np.multiply(gb, xhatb, buf))
             return (gx,)
 
         (gx,) = _blocked(backward, (xhat, g, inv), (g.shape,), scratch=1)
-        return (gx, gw, np.add.reduce(g, axis=tuple(range(g.ndim - 1))))
+        return (gx, gw.done(), _row_sum(g, step=_carry_leading, borrowed=True))
 
     return _make(out, "layer-norm", (x, weight, bias), bw)
 
@@ -566,17 +713,6 @@ def _mlp_hidden(x, w1, b1, u, t, h, buf) -> None:
     _gelu_forward(u, t, h, buf)
 
 
-def _carry_rows(a: np.ndarray, carry: Optional[np.ndarray]) -> np.ndarray:
-    """Sum ``a`` over its first axis, carrying on from ``carry``, the sum of earlier rows.
-
-    numpy adds rows in order, so adding ``carry`` into the first row
-    (which ``a`` then no longer holds) continues the unblocked sum.
-    """
-    if carry is not None:
-        a[0] += carry
-    return np.add.reduce(a, axis=0)
-
-
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``add(matmul(gelu(add(matmul(x, w1), b1)), w2), b2)`` as one node, bit for bit.
 
@@ -613,20 +749,20 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
     def bw(g):
         gx = np.empty(xd.shape)
-        gw1 = gb1 = gw2 = None
+        gw1, gb1, gw2 = _RowSum(), _RowSum(lambda rows: np.add.reduce(rows, axis=0)), _RowSum()
         u, t, h, buf, du = buffers(5)
         for lo, hi in blocks:
             n = hi - lo
             xb, gb, ub, hb = xd[lo:hi], g[lo:hi], u[:n], h[:n]
             _mlp_hidden(xb, w1d, b1d, ub, t[:n], hb, buf[:n])
-            gw2 = _carry_rows(np.matmul(np.swapaxes(hb, -1, -2), gb), gw2)
+            gw2.add(np.matmul(np.swapaxes(hb, -1, -2), gb))
             gh = np.matmul(gb, w2d.T, out=hb)
             # gelu's backward reads u before writing gu over it
             (gu,) = _gelu_backward(ub, t[:n], gh, ub, du[:n], buf[:n])
             np.matmul(gu, w1d.T, out=gx[lo:hi])
-            gw1 = _carry_rows(np.matmul(np.swapaxes(xb, -1, -2), gu), gw1)
-            gb1 = _carry_rows(gu, gb1)
-        return (gx, gw1, np.add.reduce(gb1, axis=0), gw2, _unbroadcast(g, b2d.shape))
+            gw1.add(np.matmul(np.swapaxes(xb, -1, -2), gu))
+            gb1.add(gu)
+        return (gx, gw1.done(), gb1.done(), gw2.done(), _unbroadcast(g, b2d.shape))
 
     return _make(out, "mlp", (x, w1, b1, w2, b2), bw)
 
@@ -666,10 +802,14 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
     td = table.data
 
+    def scatter(gt, ids_rows, g_rows):
+        if gt is None:
+            gt = np.zeros_like(td)  # takes td's layout
+        np.add.at(gt, ids_rows.reshape(-1), g_rows.reshape(-1, td.shape[1]))
+        return gt
+
     def bw(g):
-        gt = np.zeros_like(td)  # takes td's layout
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, td.shape[1]))
-        return (gt,)
+        return (_row_sum(ids, g, step=scatter),)
 
     return _make(td[ids], "embedding-lookup", (table,), bw)
 
@@ -719,11 +859,108 @@ def stop_gradient(x: Tensor) -> Tensor:
     return Tensor(x.data.copy())
 
 
+class _RowJoin(OpNode):
+    __slots__ = ("run",)
+
+
+def row_join(first: Tensor, second: Tensor, run: Callable) -> Tensor:
+    """``first`` and ``second`` stacked along their leading axis, the batch rows.
+
+    The two are the outputs of the same ops on two blocks of batch rows,
+    built in one graph each (``Model.forward`` runs its halves on two
+    threads). ``run(fn, 0, 1)`` returns ``(fn(0), fn(1))``, running them
+    where it decides, or None to have the caller run both in turn:
+    ``backward`` walks each half's subgraph through it. Gradients for
+    inputs without a row axis (weights, biases, tables) are sums over
+    batch rows, and the halves share them as ``_RowSum``s, so every
+    gradient has the bits of one graph over all the rows. No ``.grad``
+    of a leaf is written until both halves are done.
+    """
+    out = Tensor(np.concatenate([first.data, second.data]))
+    if first.requires_grad and second.requires_grad:
+        rows = len(first.data)
+        out.requires_grad = True
+        out._node = _RowJoin("row-join", (first._node, second._node), out,
+                             lambda g: (g[:rows], g[rows:]))
+        out._node.run = run
+    return out
+
+
+def _walk(nodes: list, flow: dict, finished: Optional[dict] = None) -> list:
+    """Run the backward rules of ``nodes``, topologically ordered, from ``flow``.
+
+    ``flow`` maps an OpNode or leaf to the gradient flowing into it so
+    far; each node's entry is consumed when its rule runs, and the
+    leaves' entries are left. ``finished[node]`` lists (input, gradient)
+    pairs that go into ``flow`` where ``node`` is reached. Returns the
+    (node, input, ``_RowSum``) of each sum left open by a walk of one
+    row half.
+    """
+    opened = []
+    for node in reversed(nodes):
+        if finished:
+            for parent, pg in finished.pop(node, ()):
+                flow[parent] = flow[parent] + pg if parent in flow else pg
+        g = flow.pop(node, None)
+        if g is None:
+            continue
+        out = node.output
+        if out is not None:  # still held by the caller
+            out.grad = g if out.grad is None else out.grad + g
+        if type(node) is _RowJoin:
+            _walk_halves(node, g, flow)
+            continue
+        for parent, pg in zip(node.inputs, node.backward(g)):
+            if pg is None or (type(parent) is Tensor and not parent.requires_grad):
+                continue
+            if type(pg) is _RowSum:
+                opened.append((node, parent, pg))
+                continue
+            flow[parent] = flow[parent] + pg if parent in flow else pg
+    return opened
+
+
+def _walk_halves(join: _RowJoin, g: np.ndarray, flow: dict) -> None:
+    """Walk each half of ``join`` from its rows of ``g``, then add the
+    gradients that leave the rows into ``flow``.
+
+    Nothing but the row sums leaves a half, so the first half's
+    subgraph, replayed on this thread with its finished sums, carries the
+    rest: the nodes without a row axis that the sums flow into (the
+    position-embedding lookup) run there, in the order one graph would
+    run them.
+    """
+    halves, grads = _Halves(), join.backward(g)
+
+    def walk(half: int) -> tuple:
+        root = join.inputs[half]
+        nodes, own = ComputationRecord._ops_behind(root), {root: grads[half]}
+        outer, _this_thread.walk = _this_thread.walk, _HalfWalk(halves, half)
+        try:
+            opened = _walk(nodes, own)
+        finally:
+            _this_thread.walk = outer
+            if half == 0:  # the second half may wait for a sum that will not come
+                halves.end_first()
+        if own:
+            raise RuntimeError(f"row-join: a gradient left row half {half} without a row sum")
+        return nodes, opened
+
+    both = join.run(walk, 0, 1)
+    (nodes, opened), _ = both if both is not None else (walk(0), walk(1))
+    finished: dict = {}
+    for node, parent, total in opened:
+        finished.setdefault(node, []).append((parent, halves.value[total.slot]))
+    _walk(nodes, flow, finished)
+
+
 def backward(loss: Tensor) -> ComputationRecord:
     """Backpropagate from a scalar, accumulating into each requires_grad tensor.
 
     Returns the ComputationRecord that was traversed. Grads add onto any
     existing ``.grad``; reset with ``zero_grad`` between independent passes.
+    Leaf grads are written last, so a rule that raises leaves them as
+    they were.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -733,17 +970,7 @@ def backward(loss: Tensor) -> ComputationRecord:
     flow: dict = {}
     if loss.requires_grad:
         flow[loss if loss._node is None else loss._node] = np.ones_like(loss.data)
-    for node in reversed(record.nodes):
-        g = flow.pop(node, None)
-        if g is None:
-            continue
-        out = node.output
-        if out is not None:  # still held by the caller
-            out.grad = g if out.grad is None else out.grad + g
-        for parent, pg in zip(node.inputs, node.backward(g)):
-            if pg is None or (type(parent) is Tensor and not parent.requires_grad):
-                continue
-            flow[parent] = flow[parent] + pg if parent in flow else pg
+    _walk(record.nodes, flow)
     for leaf, g in flow.items():
         if leaf.grad is None:
             leaf.grad = np.array(g, dtype=np.float64)

@@ -25,18 +25,25 @@ and from the cache once it has emitted EOS or reached its group's limit.
 Each block's MLP is one ``autodiff.mlp`` node, which keeps only its input
 for backward and recomputes the hidden layer there.
 
-A forward without a cache, on a model with no parameter that requires
-grad, of at least 2 rows with rows × length × ``d_model`` at least
-``BLOCK_ELEMS``, in a process whose CPU affinity allows 2 CPUs or more,
-runs rows ``[b//2:]`` on one persistent helper thread while the caller
-runs the rest, and concatenates the logits. Both halves run the same
-serial forward, and no row's arithmetic depends on the other rows, so
-the logits keep their bits. That covers the teacher-forced read-outs and
-iw_sft's reference log-probs; training forwards, cached prefills and
-decode steps stay on the caller's thread. A caller that finds the
-helper busy with another thread's rows runs all its rows itself. A
-forked child drops its parent's helper and starts its own. There is no
-option: the input, the affinity and the parameters decide.
+A forward without a cache, of at least 2 rows with rows × length ×
+``d_model`` at least ``BLOCK_ELEMS``, in a process whose CPU affinity
+allows 2 CPUs or more, runs rows ``[b//2:]`` on one persistent helper
+thread while the caller runs the rest, and stacks the logits with
+``autodiff.row_join``. Both halves run the same serial forward, and no
+row's arithmetic depends on the other rows, so the logits keep their
+bits. That covers training forwards as well as the teacher-forced
+read-outs and iw_sft's reference log-probs; cached prefills and decode
+steps stay on the caller's thread. A training forward's two halves are
+two graphs, and ``backward`` walks them on the same two threads: the
+gradients of the weights, which sum over batch rows, carry on from the
+first half's rows into the second's in row order, so every gradient
+keeps its bits too (``autodiff._RowSum``). A caller that finds the
+helper busy with another thread's rows runs all its rows itself, in a
+forward, or walks both halves itself, in a backward. An error in either
+half reaches the caller once both halves have ended, before any
+parameter's ``.grad`` is written. A forked child drops its parent's
+helper and starts its own. There is no option: the input and the
+affinity decide.
 
 Checkpoint file layout (little-endian throughout):
 
@@ -85,6 +92,7 @@ from .autodiff import (
     matmul,
     mlp,
     reshape,
+    row_join,
     scaled_masked_softmax,
     softmax,
     transpose,
@@ -319,30 +327,46 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _split_rows(model: "Model", ids: np.ndarray) -> Tensor:
-    """``model._rows(ids)``, with rows ``[b//2:]`` run on the helper thread.
+def _on_two_threads(fn, first, second):
+    """``(fn(first), fn(second))``, with ``fn(second)`` run on the helper thread.
 
-    No row's arithmetic depends on another row, so the logits keep their
-    bits. A caller that finds the helper busy runs all its rows itself.
+    Returns None, having run nothing, when the helper is busy with another
+    caller's work. An error in either call reaches the caller, after both
+    calls have ended.
     """
     global _helper
     lock = _helper_lock
     if not lock.acquire(blocking=False):
-        return model._rows(ids)
+        return None
     try:
         if _helper is None:
             from concurrent.futures import ThreadPoolExecutor  # loads logging: not at import
 
-            _helper = ThreadPoolExecutor(1, thread_name_prefix="dftlab-forward")
-        half = len(ids) // 2
-        rest = _helper.submit(model._rows, ids[half:])
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="dftlab-rows")
+        rest = _helper.submit(fn, second)
         try:
-            first = model._rows(ids[:half]).data
-        finally:
-            second = rest.result()  # read even when the caller's half raised
+            mine = fn(first)
+        except BaseException:
+            rest.exception()  # wait for the helper's call; the caller's error wins
+            raise
+        return mine, rest.result()
     finally:
         lock.release()
-    return Tensor(np.concatenate([first, second.data]))
+
+
+def _split_rows(model: "Model", ids: np.ndarray) -> Tensor:
+    """``model._rows(ids)``, with rows ``[b//2:]`` run on the helper thread.
+
+    No row's arithmetic depends on another row, so the logits keep their
+    bits; ``row_join`` keeps the gradients' bits too, and its backward
+    walks the halves on two threads the same way. A caller that finds the
+    helper busy runs all its rows itself.
+    """
+    half = len(ids) // 2
+    both = _on_two_threads(model._rows, ids[:half], ids[half:])
+    if both is None:
+        return model._rows(ids)
+    return row_join(*both, _on_two_threads)
 
 
 class Model:
@@ -434,8 +458,7 @@ class Model:
                 )
             if not cache.segments:
                 cache.segments.append([])
-        elif (b >= 2 and b * t * c.d_model >= BLOCK_ELEMS and _usable_cpus() >= 2
-              and not any(w.requires_grad for w in self.params.values())):
+        elif b >= 2 and b * t * c.d_model >= BLOCK_ELEMS and _usable_cpus() >= 2:
             return _split_rows(self, ids)
         return self._rows(ids, cache, starts, rows)
 

@@ -12,8 +12,10 @@ A run directory (when configured) receives:
     metrics.jsonl   same rows plus the shares of loss tokens with p < 0.05
                     and p > 0.95 (C9's polarization bins), wall-clock
                     seconds, the pre-clip global gradient norm (grad_norm,
-                    null when clipping is off) and whether the step was
-                    clipped
+                    null when clipping is off), whether the step was
+                    clipped, and the batch's mean pi(y*|x) (mean_seq_p:
+                    the mean over rows of exp of the row's summed response
+                    log-probs; absent from rows written before it existed)
     evals.jsonl     eval-hook outputs every eval_every steps
     ckpt_step0.bin / ckpt_step{N}.bin / ckpt_final.bin
     manifest.json   emitted files with sizes
@@ -96,6 +98,8 @@ class TrainMetrics(Record):
     seconds: float
     grad_norm: Optional[float] = None  # pre-clip global norm; None when clipping is off
     clipped: bool = False
+    # the batch's mean pi(y*|x): over rows, exp of the row's summed response log-probs
+    mean_seq_p: Optional[float] = None
 
 
 def total_steps_for(config: RunConfig, n_items: int) -> int:
@@ -355,6 +359,7 @@ def train_run(config: RunConfig, train_data,
                 lr = lr_at(config, step, total)
                 adamw_step(model.params, grads, state, lr, config.weight_decay)
                 p = np.exp(logp.data)[mask]
+                seq_p = np.exp(np.where(mask, logp.data, 0.0).sum(axis=-1))
                 # The graph goes before the next batch's forward. Its freed pages
                 # stay mapped for that forward (dftlab.allocator), wherever the
                 # graph sat on the heap.
@@ -364,7 +369,8 @@ def train_run(config: RunConfig, train_data,
                                  frac_p_below_0_05=float((p < 0.05).mean()),
                                  frac_p_above_0_95=float((p > 0.95).mean()),
                                  seconds=time.perf_counter() - start,
-                                 grad_norm=grad_norm, clipped=clipped)
+                                 grad_norm=grad_norm, clipped=clipped,
+                                 mean_seq_p=float(seq_p.mean()))
                 metrics.append(m)
                 run_dir.metric(m)
                 if config.eval_every > 0 and step % config.eval_every == 0:

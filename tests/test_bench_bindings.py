@@ -63,3 +63,34 @@ def test_a_traced_split_forward_records_one_span_per_batch(tmp_path, monkeypatch
     assert [lab.rec.spans[s[3]][0] for s in spans] == ["model.batch_token_log_probs"] * 2
     assert halves == [(rows - rows // 2, ids.shape[1] - 1) for ids in batches]
     assert hist.total == sum(len(d.response_ids) for d in train)
+
+
+def test_a_traced_split_training_step_records_one_span_of_each_layer(tmp_path, monkeypatch):
+    """A split step runs its row halves' forwards and backward walks on two
+    threads, but only the caller calls the wrapped names, once per step."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    jobs, pool = [], ThreadPoolExecutor(1)
+    monkeypatch.setattr(model_mod, "_helper", types.SimpleNamespace(
+        submit=lambda fn, part: jobs.append(getattr(part, "shape", part)) or pool.submit(fn, part)))
+    train = inputs.make_inputs(5, 128, 0, 0)["train"][:32]
+    ids, _ = training.collate(training.encode_demonstrations(train))
+    config = training.RunConfig(model=ModelConfig(**warm.MODEL), batch_size=len(train),
+                                epochs=None, max_steps=3)
+    lab = workloads.Lab("finetune", 0, str(tmp_path / "never-made"))
+    lab.install(trace=True)
+    try:
+        training.train_run(config, train)
+    finally:
+        lab.uninstall()
+        pool.shutdown()
+    spans = {name: lab.rec.named(name) for name in (
+        "model.forward", "model.batch_token_log_probs", "losses.compute_loss",
+        "autodiff.backward[training]")}
+    assert {name: len(found) for name, found in spans.items()} == dict.fromkeys(spans, 3)
+    assert [s[4]["positions"] for s in spans["model.forward"]] == [ids[:, :-1].size] * 3
+    assert [lab.rec.spans[s[3]][0] for s in spans["model.forward"]] == [
+        "model.batch_token_log_probs"] * 3
+    assert all(s[3] == -1 for name, found in spans.items() if name != "model.forward"
+               for s in found)
+    half = (len(train) - len(train) // 2, ids.shape[1] - 1)
+    assert jobs == [half, 1] * 3  # each step's forward and backward split

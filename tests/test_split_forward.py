@@ -1,11 +1,11 @@
-"""A gradient-free forward without a cache splits its rows over two threads.
+"""A forward without a cache splits its rows over two threads.
 
 ``Model.forward`` runs rows ``[b//2:]`` on one persistent helper thread
-and the rest on the caller when the model needs no gradient, there is no
-``KVCache``, the input has at least 2 rows and rows × length × ``d_model``
-is at least ``BLOCK_ELEMS``, and the process may run on 2 CPUs. Every test here
-compares against ``Model._rows``, the serial forward both halves run, and
-checks byte for byte.
+and the rest on the caller when there is no ``KVCache``, the input has at
+least 2 rows and rows × length × ``d_model`` is at least ``BLOCK_ELEMS``,
+and the process may run on 2 CPUs. Every test here compares against
+``Model._rows``, the serial forward both halves run, and checks byte for
+byte. ``test_split_step.py`` covers the backward of a trainable forward.
 """
 
 import multiprocessing
@@ -91,11 +91,12 @@ def test_split_forward_keeps_the_serial_bits(submits, config, rows, length):
     assert same_bits(got, net._rows(ids).data)
 
 
-def test_a_model_that_needs_gradients_never_reaches_the_helper(no_helper):
+def test_a_trainable_forward_joins_its_row_halves(submits):
     trainable = Model(ACCEPTANCE)
     ids = ids_for(ACCEPTANCE, 64, 47)
     out = trainable.forward(ids)
-    assert out.requires_grad
+    assert submits == [(32, 47)]
+    assert out.requires_grad and out._node.op == "row-join"
     assert same_bits(out.data, trainable.detached()._rows(ids).data)
 
 

@@ -11,10 +11,12 @@ from dftlab.autodiff import ComputationRecord, Tensor, backward
 from dftlab.losses import LossSpec, compute_loss, sft_loss
 from dftlab.model import Model, ModelConfig, batch_token_log_probs
 from dftlab.tasks import default_task_spec, generate_dataset
+from dftlab.seeding import derive_seed
 from dftlab.theory import implicit_reward_scan
 from dftlab.training import (
     AdamState,
     RunConfig,
+    TrainMetrics,
     TrainingAborted,
     adamw_step,
     clip_global_norm,
@@ -312,6 +314,27 @@ def test_metrics_jsonl_logs_the_polarization_bins(tmp_path, reversal_data):
     assert (out / "metrics.csv").read_text().splitlines()[0] == "step,lr,loss,mean_p"
 
 
+def test_metrics_jsonl_logs_the_batch_mean_sequence_probability(tmp_path, reversal_data):
+    # the mean over the batch's rows of pi(y*|x), the product of a row's
+    # response-token probabilities, from the step's own log-probs
+    items = reversal_data[:8]
+    out = tmp_path / "run"
+    config = run_config(max_steps=1, batch_size=len(items), output_dir=str(out))
+    (m,) = train_run(config, items)[1]
+    order = np.random.default_rng(derive_seed(config.seed, "train", "shuffle")).permutation(8)
+    ids, mask = collate(encode_demonstrations([items[i] for i in order]))
+    logp = batch_token_log_probs(Model(config.model), ids).data
+    by_hand = [math.exp(sum(logp[r, j] for j in range(logp.shape[1]) if mask[r, j]))
+               for r in range(len(items))]
+    assert m.mean_seq_p == pytest.approx(sum(by_hand) / len(by_hand), rel=1e-12)
+    assert 0 < m.mean_seq_p <= 1
+    (row,) = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+    assert row["mean_seq_p"] == m.mean_seq_p
+    assert (out / "metrics.csv").read_text().splitlines()[0] == "step,lr,loss,mean_p"
+    del row["mean_seq_p"]  # a row written before the field existed still decodes
+    assert TrainMetrics.from_dict(row).mean_seq_p is None
+
+
 def test_one_graph_is_alive_at_a_time(reversal_data):
     # Every step trains on the same 16 items, so each graph has one size.
     # A step drops its graph before the next forward, so four steps peak
@@ -397,24 +420,28 @@ def test_no_backward_rule_holds_a_hidden_layer_array():
     assert held == []
 
 
-def test_training_determinism_golden():
+def test_training_determinism_golden(monkeypatch):
     # recorded once at the acceptance shape (V=17, d=32, L=2, H=2, batch 32):
     # three steps of each arm; guards every bit of the forward, the losses,
-    # backward and AdamW, which the logits golden in test_model never reaches
+    # backward and AdamW, which the logits golden in test_model never reaches.
+    # Run as on a 1-CPU and on a 2-CPU box, so that both the serial step and
+    # the step split over two threads (dftlab.model) meet it on any machine.
     spec = default_task_spec("addition-scratchpad", seed=0)
     train, _, _ = generate_dataset(spec, 64, 4, 4)
-    h = hashlib.sha256()
-    for kind in ("sft", "dft_token", "dft_sequence"):
-        mc = ModelConfig(vocab_size=17, d_model=32, n_layers=2, n_heads=2,
-                         context_length=64, seed=0)
-        cfg = RunConfig(model=mc, loss=LossSpec(kind=kind), learning_rate=3e-3,
-                        batch_size=32, epochs=None, max_steps=3, warmup_ratio=0.1, seed=0)
-        model, metrics = train_run(cfg, train)
-        h.update(np.array([m.loss for m in metrics], dtype="<f8").tobytes())
-        for name, t in model.named_parameters():
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-    assert h.hexdigest() == GOLDEN_TRAIN_SHA256
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        h = hashlib.sha256()
+        for kind in ("sft", "dft_token", "dft_sequence"):
+            mc = ModelConfig(vocab_size=17, d_model=32, n_layers=2, n_heads=2,
+                             context_length=64, seed=0)
+            cfg = RunConfig(model=mc, loss=LossSpec(kind=kind), learning_rate=3e-3,
+                            batch_size=32, epochs=None, max_steps=3, warmup_ratio=0.1, seed=0)
+            model, metrics = train_run(cfg, train)
+            h.update(np.array([m.loss for m in metrics], dtype="<f8").tobytes())
+            for name, t in model.named_parameters():
+                h.update(name.encode())
+                h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        assert h.hexdigest() == GOLDEN_TRAIN_SHA256, f"{len(cpus)} CPU(s)"
 
 
 GOLDEN_TRAIN_SHA256 = "47e2ae2dc746e03379c4ebaecb9e30b316de82faa02749ea1e96a1047315995f"
