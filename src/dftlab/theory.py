@@ -30,6 +30,20 @@ the model's canonical parameter order.
 backward per token, because the token-scaled gradient identity compares
 it with the stop-gradient route, and one weighted backward would be that
 route itself, leaving the check unable to fail.
+
+``run_verification`` runs its four checks on two processes when the
+process may use 2 CPUs (``model._on_two_processes``): the two enumerated
+checks, the importance-sampling identity and the score function's zero
+mean, in a forked child, and the token-scaled gradient identity and the
+variance probe in the caller. Each check seeds its own models and draws,
+so the report keeps its order and every bit. The checks build thousands
+of tiny graphs (d=8, T<=5), whose time is Python's, not BLAS's: at the
+``oracle`` benchmark grid on a 2-core box the suite took 131-138 ms
+serially, 96 ms on two processes and 171 ms split over the row helper
+thread instead, because two threads take turns holding the
+interpreter. The variance probe stays in the caller, so a traced run
+still sees its ``grad_log_prob`` spans; what the child records is
+dropped with it.
 """
 
 from __future__ import annotations
@@ -43,7 +57,8 @@ import numpy as np
 from .autodiff import Tensor, backward, mul, softmax
 from .evalreport import teacher_forced_probs
 from .losses import dft_token_loss, sft_loss
-from .model import Model, ModelConfig, Record, batch_token_log_probs, inverse_cdf
+from .model import (Model, ModelConfig, Record, _on_two_processes, batch_token_log_probs,
+                    inverse_cdf)
 from .seeding import derive_seed
 
 # Rows per batched forward and backward in ``_weighted_grad``; bounds peak
@@ -331,11 +346,28 @@ class VerifyConfig(Record):
                 raise ValueError(f"{key!r} must be >= {low}, got {getattr(self, key)!r}")
 
 
+def _run_checks(checks) -> list:
+    return [check() for check in checks]
+
+
 def run_verification(config: VerifyConfig) -> list:
-    """Run every oracle check; returns [{name, passed, detail}, ...]."""
-    return [
-        _check_importance_identity(config.vocab_sizes, config.horizons, config.models_per_cell),
-        _check_score_zero_mean(config.seed),
-        _check_gradient_identity(config.seed),
-        _check_variance_ratio(config.seed, config.n_samples),
+    """Run every oracle check; returns [{name, passed, detail}, ...].
+
+    With 2 CPUs the enumerated checks run in a forked child while the
+    caller runs the other two (module docstring); the report's order and
+    bits are the same either way.
+    """
+    enumerated = [
+        lambda: _check_importance_identity(config.vocab_sizes, config.horizons,
+                                           config.models_per_cell),
+        lambda: _check_score_zero_mean(config.seed),
     ]
+    in_caller = [
+        lambda: _check_gradient_identity(config.seed),
+        lambda: _check_variance_ratio(config.seed, config.n_samples),
+    ]
+    both = _on_two_processes(_run_checks, in_caller, enumerated)
+    if both is None:
+        return _run_checks(enumerated) + _run_checks(in_caller)
+    mine, theirs = both
+    return theirs + mine
