@@ -45,21 +45,6 @@ parameter's ``.grad`` is written. A forked child drops its parent's
 helper and starts its own. There is no option: the input and the
 affinity decide.
 
-Work whose time is Python's rather than BLAS's, such as the theory
-oracles' thousands of tiny graphs, gains nothing from a second thread,
-which has to take turns with the caller's to run Python code. For such
-work ``_on_two_processes(fn, first, second)`` keeps ``_on_two_threads``'s
-contract with a child made by ``os.fork`` in place of the helper: the
-child runs ``fn(second)``, pickles its result or its error to a pipe and
-leaves through ``os._exit``; the caller runs ``fn(first)``, reads the pipe
-to its end and reaps the child, killing it first if its own half raises
-or is interrupted. It declines, running nothing, in a process allowed one
-CPU, on a platform without ``os.fork``, and in such a child, so a child
-never forks again. On a 2-core VM the fork of a 55 MB process took
-1.6-3 ms; after it, the caller takes a minor page fault on each page it
-first writes: about 1,800 over the benchmark's ``oracle`` verify, and
-4,400 more in the training round after it.
-
 Checkpoint file layout (little-endian throughout):
 
     magic           8 bytes  b"DFTCKPT1"
@@ -89,8 +74,6 @@ import functools
 import json
 import math
 import os
-import pickle
-import signal
 import struct
 import threading
 import typing
@@ -371,82 +354,6 @@ def _on_two_threads(fn, first, second):
         lock.release()
 
 
-_in_split_child = False  # True in a child made by _on_two_processes
-
-
-def _on_two_processes(fn, first, second):
-    """``(fn(first), fn(second))``, with ``fn(second)`` run in a forked child.
-
-    Returns None, having run nothing, when the process may use one CPU, when
-    the platform has no ``os.fork``, or when the caller is itself such a
-    child. The child sends its result, or its error, back pickled, so
-    ``fn(second)`` must return something picklable; what it changes in
-    memory stays in the child, and what it prints through ``sys.stdout``
-    is never flushed. An error in either call reaches the
-    caller, after both calls have ended; a child that leaves no result is a
-    RuntimeError naming its wait status. No child outlives the call.
-    """
-    if _in_split_child or not hasattr(os, "fork") or _usable_cpus() < 2:
-        return None
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        _child_half(fn, second, read_end, write_end)  # never returns
-    os.close(write_end)
-    with open(read_end, "rb") as pipe:
-        try:
-            mine = fn(first)
-            payload = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = _reap(pid)
-    if status != 0 or not payload:  # 0: exited with code 0
-        raise RuntimeError(f"the forked half left no result (wait status {status}, "
-                           f"exit code {os.waitstatus_to_exitcode(status)})")
-    ok, theirs = pickle.loads(payload)
-    if not ok:
-        raise theirs
-    return mine, theirs
-
-
-def _child_half(fn, second, read_end: int, write_end: int) -> None:
-    """The child's side of ``_on_two_processes``: it leaves only through
-    ``os._exit``, so no atexit handler runs, no stdio buffer inherited from
-    the parent is flushed, and control never returns into the parent's stack."""
-    global _in_split_child
-    code = 1
-    try:
-        _in_split_child = True
-        os.close(read_end)
-        try:
-            result = (True, fn(second))
-        except BaseException as exc:
-            result = (False, exc)
-        payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)  # if this fails: exit code 1
-        with open(write_end, "wb") as pipe:
-            pipe.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _reap(pid: int) -> int:
-    """Child ``pid``'s wait status; an interrupt while waiting kills and reaps it."""
-    try:
-        return os.waitpid(pid, 0)[1]
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        raise
-
-
 def _split_rows(model: "Model", ids: np.ndarray) -> Tensor:
     """``model._rows(ids)``, with rows ``[b//2:]`` run on the helper thread.
 
@@ -656,13 +563,10 @@ def inverse_cdf(probs: np.ndarray, u) -> np.ndarray:
     ``probs`` is (n, V) against ``u`` of shape (n,), or one distribution
     (V,) broadcast against any ``u``. The result is clamped to V-1 for
     the case where rounding leaves the last cumulative sum below ``u``,
-    so an id with zero probability is never drawn. One distribution's
-    cumulative sums never decrease, so a binary search counts them.
+    so an id with zero probability is never drawn.
     """
     cdf = np.cumsum(probs, axis=-1)
     u = np.asarray(u, dtype=np.float64)
-    if cdf.ndim == 1:
-        return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
     return np.minimum((cdf <= u[..., None]).sum(axis=-1), probs.shape[-1] - 1)
 
 

@@ -313,23 +313,6 @@ def test_inverse_cdf_never_draws_a_zero_probability_id():
     assert np.array_equal(inverse_cdf(rows, u), draws)
 
 
-@pytest.mark.parametrize("vocab", [2, 3, 6, 17])
-def test_inverse_cdf_of_one_distribution_counts_like_the_comparison_sum(vocab):
-    # one distribution takes a binary search; rows take the comparison-sum
-    rng = np.random.default_rng(vocab)
-    for _ in range(50):
-        probs = rng.dirichlet(np.ones(vocab)) * (rng.random(vocab) < 0.7)
-        if not probs.any():
-            probs[rng.integers(vocab)] = 1.0
-        probs /= probs.sum()
-        cdf = np.cumsum(probs)
-        u = np.concatenate([rng.random(500), cdf, [0.0, np.nextafter(1.0, 0.0)]])
-        want = np.minimum((cdf <= u[:, None]).sum(axis=-1), vocab - 1)
-        got = inverse_cdf(probs, u)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert np.array_equal(inverse_cdf(np.tile(probs, (len(u), 1)), u), want)
-
-
 # --- K/V cache ---
 
 

@@ -1,6 +1,6 @@
 """``dftlab verify`` runs its oracle checks on two processes, bit for bit.
 
-``model._on_two_processes(fn, first, second)`` returns ``(fn(first),
+``theory._on_two_processes(fn, first, second)`` returns ``(fn(first),
 fn(second))`` with ``fn(second)`` run in a child made by ``os.fork``, or
 None, having run nothing, in a 1-CPU process, without ``os.fork``, or in
 such a child. ``theory.run_verification`` runs the two enumerated checks
@@ -23,7 +23,8 @@ from dftlab import cli, theory
 from dftlab import model as model_mod
 from dftlab.autodiff import backward
 from dftlab.losses import LossSpec, compute_loss
-from dftlab.model import Model, ModelConfig, _on_two_processes, batch_token_log_probs
+from dftlab.model import Model, ModelConfig, batch_token_log_probs
+from dftlab.theory import _on_two_processes
 from dftlab.tasks import default_task_spec, generate_dataset
 from dftlab.training import collate, encode_demonstrations
 
@@ -110,13 +111,18 @@ def test_an_error_in_the_childs_half_reaches_the_caller(monkeypatch, two_cpus):
         raise ValueError("boom")
 
     monkeypatch.setattr(theory, "_check_importance_identity", boom)
-    with pytest.raises(ValueError, match="^boom$"):
+    with pytest.raises(ValueError) as caught:
         theory.run_verification(SMALL)
+    assert caught.value.args == ("boom",)
+    # the child's traceback rides along as a note, down to the failing line
+    (note,) = caught.value.__notes__
+    assert note.startswith("raised in the forked half (pid ")
+    assert ', in boom\n    raise ValueError("boom")\nValueError: boom\n' in note
 
 
 def test_a_child_that_leaves_no_result_is_a_runtime_error(monkeypatch, two_cpus):
     def die(*args):
-        assert model_mod._in_split_child, "would have ended the test process"
+        assert theory._in_split_child, "would have ended the test process"
         os._exit(3)
 
     monkeypatch.setattr(theory, "_check_importance_identity", die)
@@ -155,10 +161,10 @@ def test_a_one_cpu_process_never_forks(monkeypatch):
 
 def test_a_split_child_never_forks_again(monkeypatch, two_cpus):
     def half(x):  # in the child, a split of its own; a grandchild would give (2, 2)
-        return _on_two_processes(abs, x, x) if model_mod._in_split_child else abs(x)
+        return _on_two_processes(abs, x, x) if theory._in_split_child else abs(x)
 
     assert _on_two_processes(half, -1, -2) == (1, None)
-    monkeypatch.setattr(model_mod, "_in_split_child", True)
+    monkeypatch.setattr(theory, "_in_split_child", True)
     monkeypatch.setattr(os, "fork", refuse_fork)
     assert _on_two_processes(abs, -1, -2) is None
     assert [r["passed"] for r in theory.run_verification(SMALL)] == [True] * 4

@@ -2,10 +2,9 @@
 
 A deletion that leaves its imports behind fails here, and so does one
 that leaves behind a module-level ``_name`` function, class or
-assignment that nothing in its module reads, unless a sibling module
-imports it by name (``from .model import _on_two_processes``).
-``__init__.py`` imports names to re-export them, so it is exempt. Only
-the stdlib ``ast`` module is needed.
+assignment that nothing in its module reads. ``__init__.py`` imports
+names to re-export them, so it is exempt. Only the stdlib ``ast`` module
+is needed.
 """
 
 import ast
@@ -70,22 +69,6 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == [], path.name
 
 
-def imported_from(module: str, sources) -> set:
-    """Names that ``from .module import ...`` statements in ``sources`` bind."""
-    return {a.name for source in sources for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
-            for a in node.names}
-
-
-def test_the_guard_counts_a_sibling_modules_import_as_a_read():
-    sources = ["from .model import _shared, Model\nfrom . import model\n",
-               "from .model import (x,\n    _other)\nfrom .losses import _kept\n"]
-    assert imported_from("model", sources) == {"_shared", "Model", "x", "_other"}
-
-
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_private_definition_is_read(path):
-    # a private helper that a sibling module imports by name is read there
-    siblings = [p.read_text() for p in SRC.glob("*.py") if p != path]
-    unread = set(unused_private_definitions(path.read_text())) - imported_from(path.stem, siblings)
-    assert sorted(unread) == [], path.name
+    assert unused_private_definitions(path.read_text()) == [], path.name
