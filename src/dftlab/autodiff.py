@@ -60,15 +60,24 @@ Conventions
   gradient has the bits of one graph over all the rows. Every other
   gradient stays inside its half. Leaf ``.grad``s are written once,
   after both halves, on the thread that called ``backward``.
+* The primitives a model forward calls have their forward halves on
+  plain arrays: ``softmax_array``, ``scaled_masked_softmax_array``,
+  ``layer_norm_array``, ``mlp_array``, ``gather_array`` and
+  ``log_array``; for ``add``, ``matmul``, ``embedding``, ``transpose``
+  and ``reshape`` the half is the numpy call itself. Each primitive calls
+  its half, then records its node. A forward that needs no graph (a
+  gradient-free ``Model.forward``: every decode step and teacher-forced
+  read-out) runs the halves and makes no Tensor, OpNode or closure per
+  call, with the same numpy calls in the same order, so the same bits.
 * Shape checks that numpy makes anyway (the broadcast in ``add`` and
   ``mul``) run only on the failure path: numpy computes first, and only
-  when it refuses is the op's own error built. A cached decode step
-  pushes a few dozen rows through about 69 primitive calls, so it is
-  bound by per-call Python cost; checking on every call took 40% of
-  ``add``'s time there. For the same reason the hot forwards call the
-  ufunc reductions (``np.add.reduce``) directly: ``.mean``, ``.max`` and
-  ``.sum`` run the same loops behind extra Python wrappers, so every
-  result keeps its bits.
+  when it refuses is the op's own error built. The oracles' graphs are
+  thousands of tiny ones (d=8, T<=5), bound by per-call Python cost; a
+  check on every call took 40% of ``add``'s time on decode-sized rows.
+  For the same reason the hot forwards call the ufunc reductions
+  (``np.add.reduce``) directly: ``.mean``, ``.max`` and ``.sum`` run the
+  same loops behind extra Python wrappers, so every result keeps its
+  bits.
 * ``gelu``, ``softmax``, ``scaled_masked_softmax`` and ``layer_norm`` are
   blocked kernels, forward and backward: a large C-contiguous input is
   cut into leading-axis views of at most ``BLOCK_ELEMS`` (32K) elements,
@@ -494,9 +503,14 @@ def _softmax_backward(s, g, gx) -> tuple:
     return (gx,)
 
 
+def softmax_array(x: np.ndarray) -> np.ndarray:
+    """``softmax``'s forward on a plain array."""
+    return _blocked(_softmax_forward, (x,), (x.shape,), scratch=1)[0]
+
+
 def softmax(x: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, with row-max subtraction."""
-    (s,) = _blocked(_softmax_forward, (x.data,), (x.shape,), scratch=1)
+    s = softmax_array(x.data)
 
     def bw(g):
         return _blocked(_softmax_backward, (s, g), (s.shape,))
@@ -504,16 +518,10 @@ def softmax(x: Tensor) -> Tensor:
     return _make(s, "softmax-rowwise", (x,), bw)
 
 
-def scaled_masked_softmax(x: Tensor, a: float, mask: Optional[np.ndarray] = None,
-                          fill: float = 0.0) -> Tensor:
-    """``softmax(mask_fill(scale(x, a), mask, fill))`` as one op, bit for bit.
-
-    Attention scores in one blocked pass and one graph node. ``mask`` is
-    None or a bool array of shape ``x.shape[-2:]`` (queries, keys), the
-    same for every leading index; its True entries become ``fill`` before
-    the softmax and get zero gradient.
-    """
-    if x.data.ndim < 2:
+def scaled_masked_softmax_array(x: np.ndarray, a: float, mask: Optional[np.ndarray] = None,
+                                fill: float = 0.0) -> np.ndarray:
+    """``scaled_masked_softmax``'s forward on a plain array."""
+    if x.ndim < 2:
         raise ValueError(f"scaled-masked-softmax: input must be at least 2-D, got {x.shape}")
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
@@ -529,7 +537,21 @@ def scaled_masked_softmax(x: Tensor, a: float, mask: Optional[np.ndarray] = None
             np.copyto(buf, fill, where=mask)
         return _softmax_forward(buf, sb, buf)
 
-    (s,) = _blocked(forward, (x.data,), (x.shape,), scratch=1, trailing=2)
+    return _blocked(forward, (x,), (x.shape,), scratch=1, trailing=2)[0]
+
+
+def scaled_masked_softmax(x: Tensor, a: float, mask: Optional[np.ndarray] = None,
+                          fill: float = 0.0) -> Tensor:
+    """``softmax(mask_fill(scale(x, a), mask, fill))`` as one op, bit for bit.
+
+    Attention scores in one blocked pass and one graph node. ``mask`` is
+    None or a bool array of shape ``x.shape[-2:]`` (queries, keys), the
+    same for every leading index; its True entries become ``fill`` before
+    the softmax and get zero gradient.
+    """
+    s = scaled_masked_softmax_array(x.data, a, mask, fill)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
 
     def bw(g):
         def backward(sb, gb, gxb):
@@ -544,14 +566,18 @@ def scaled_masked_softmax(x: Tensor, a: float, mask: Optional[np.ndarray] = None
     return _make(s, "scaled-masked-softmax", (x,), bw)
 
 
+def log_array(x: np.ndarray) -> np.ndarray:
+    """``log``'s forward on a plain array."""
+    return np.log(np.maximum(x, LOG_FLOOR))
+
+
 def log(x: Tensor) -> Tensor:
     xd = x.data
-    clamped = np.maximum(xd, LOG_FLOOR)
 
     def bw(g):
-        return (np.where(xd >= LOG_FLOOR, g / clamped, 0.0),)
+        return (np.where(xd >= LOG_FLOOR, g / np.maximum(xd, LOG_FLOOR), 0.0),)
 
-    return _make(np.log(clamped), "log", (x,), bw)
+    return _make(log_array(xd), "log", (x,), bw)
 
 
 def exp(x: Tensor) -> Tensor:
@@ -563,8 +589,8 @@ def exp(x: Tensor) -> Tensor:
     return _make(e, "exp", (x,), bw)
 
 
-def gather(x: Tensor, ids: np.ndarray) -> Tensor:
-    """Pick one entry along the last axis: out[...] = x[..., ids[...]]."""
+def gather_array(x: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``gather``'s forward on a plain array."""
     ids = np.asarray(ids)
     if ids.shape != x.shape[:-1]:
         raise ValueError(
@@ -574,8 +600,13 @@ def gather(x: Tensor, ids: np.ndarray) -> Tensor:
         raise IndexError(
             f"gather: index out of range for last axis of size {x.shape[-1]}"
         )
-    xd = x.data
-    picked = np.take_along_axis(xd, ids[..., None], axis=-1)[..., 0]
+    return np.take_along_axis(x, ids[..., None], axis=-1)[..., 0]
+
+
+def gather(x: Tensor, ids: np.ndarray) -> Tensor:
+    """Pick one entry along the last axis: out[...] = x[..., ids[...]]."""
+    xd, ids = x.data, np.asarray(ids)
+    picked = gather_array(xd, ids)
 
     def bw(g):
         gx = np.zeros_like(xd)  # takes xd's layout; in the model, softmax's rule holds xd anyway
@@ -608,15 +639,14 @@ def tensor_mean(x: Tensor, axis=None) -> Tensor:
     return _make(np.mean(x.data, axis=axis), "mean", (x,), bw)
 
 
-def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    if weight.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
+def _layer_norm_forward(x: np.ndarray, w: np.ndarray, bias: np.ndarray, eps: float) -> tuple:
+    """``(xhat, out, inv)``: the normalized input, the output and 1/std per row."""
+    if w.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
         raise ValueError(
-            f"layer-norm: weight/bias {weight.shape}/{bias.shape} "
+            f"layer-norm: weight/bias {w.shape}/{bias.shape} "
             f"must be ({x.shape[-1]},)"
         )
     d = x.shape[-1]
-    w = weight.data
 
     def forward(xb, xhat, out, inv):
         mu = np.add.reduce(xb, axis=-1, keepdims=True)
@@ -629,10 +659,22 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
         inv = np.divide(1.0, np.sqrt(var, var), inv)
         np.multiply(xhat, inv, xhat)
         np.multiply(w, xhat, out)
-        np.add(out, bias.data, out)
+        np.add(out, bias, out)
         return xhat, out, inv
 
-    xhat, out, inv = _blocked(forward, (x.data,), (x.shape, x.shape, x.shape[:-1] + (1,)))
+    return _blocked(forward, (x,), (x.shape, x.shape, x.shape[:-1] + (1,)))
+
+
+def layer_norm_array(x: np.ndarray, w: np.ndarray, bias: np.ndarray,
+                     eps: float = 1e-5) -> np.ndarray:
+    """``layer_norm``'s forward on plain arrays."""
+    return _layer_norm_forward(x, w, bias, eps)[1]
+
+
+def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    d, w = x.shape[-1], weight.data
+    xhat, out, inv = _layer_norm_forward(x.data, w, bias.data, eps)
 
     def bw(g):
         gw = _RowSum(step=_carry_leading)  # of g * xhat
@@ -713,6 +755,39 @@ def _mlp_hidden(x, w1, b1, u, t, h, buf) -> None:
     _gelu_forward(u, t, h, buf)
 
 
+def _mlp_blocks(x: np.ndarray, w1: np.ndarray) -> tuple:
+    """The (lo, hi) row blocks of an ``mlp`` input, and a function making ``count``
+    hidden-layer buffers of one block each."""
+    rows, length, hidden = x.shape[0], x.shape[1], w1.shape[1]
+    step = max(1, BLOCK_ELEMS // (length * hidden))
+
+    def buffers(count):
+        return [np.empty((min(step, rows), length, hidden)) for _ in range(count)]
+
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)], buffers
+
+
+def mlp_array(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+              b2: np.ndarray) -> np.ndarray:
+    """``mlp``'s forward on plain arrays."""
+    if x.ndim != 3:
+        raise ValueError(f"mlp: input must be (batch, length, d), got {x.shape}")
+    if (w1.ndim != 2 or w2.ndim != 2 or w1.shape[0] != x.shape[2]
+            or w2.shape[0] != w1.shape[1]
+            or b1.shape != w1.shape[1:] or b2.shape != w2.shape[1:]):
+        raise ValueError(f"mlp: weights {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape} "
+                         f"do not fit an input of shape {x.shape}")
+    blocks, buffers = _mlp_blocks(x, w1)
+    out = np.empty((x.shape[0], x.shape[1], w2.shape[1]))
+    u, t, h, buf = buffers(4)
+    for lo, hi in blocks:
+        n = hi - lo
+        _mlp_hidden(x[lo:hi], w1, b1, u[:n], t[:n], h[:n], buf[:n])
+        ob = np.matmul(h[:n], w2, out=out[lo:hi])
+        np.add(ob, b2, ob)
+    return out
+
+
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``add(matmul(gelu(add(matmul(x, w1), b1)), w2), b2)`` as one node, bit for bit.
 
@@ -725,29 +800,10 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     sums over batch rows from block to block in row order.
     """
     xd, w1d, b1d, w2d, b2d = x.data, w1.data, b1.data, w2.data, b2.data
-    if xd.ndim != 3:
-        raise ValueError(f"mlp: input must be (batch, length, d), got {x.shape}")
-    if (w1d.ndim != 2 or w2d.ndim != 2 or w1d.shape[0] != xd.shape[2]
-            or w2d.shape[0] != w1d.shape[1]
-            or b1d.shape != w1d.shape[1:] or b2d.shape != w2d.shape[1:]):
-        raise ValueError(f"mlp: weights {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape} "
-                         f"do not fit an input of shape {x.shape}")
-    rows, length, hidden = xd.shape[0], xd.shape[1], w1d.shape[1]
-    step = max(1, BLOCK_ELEMS // (length * hidden))
-    blocks = [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
-
-    def buffers(count):
-        return [np.empty((min(step, rows), length, hidden)) for _ in range(count)]
-
-    out = np.empty((rows, length, w2d.shape[1]))
-    u, t, h, buf = buffers(4)
-    for lo, hi in blocks:
-        n = hi - lo
-        _mlp_hidden(xd[lo:hi], w1d, b1d, u[:n], t[:n], h[:n], buf[:n])
-        ob = np.matmul(h[:n], w2d, out=out[lo:hi])
-        np.add(ob, b2d, ob)
+    out = mlp_array(xd, w1d, b1d, w2d, b2d)
 
     def bw(g):
+        blocks, buffers = _mlp_blocks(xd, w1d)
         gx = np.empty(xd.shape)
         gw1, gb1, gw2 = _RowSum(), _RowSum(lambda rows: np.add.reduce(rows, axis=0)), _RowSum()
         u, t, h, buf, du = buffers(5)

@@ -6,14 +6,20 @@ smooth on purpose: the theory oracles lean on finite-difference checks,
 and a kinked MLP would poison them near the kink. Token ids 0 and 1 are
 reserved everywhere in this package: 0 pads batches, 1 ends a response.
 
-``Model.forward(ids, cache)`` is the one transformer forward. Without a
-cache it runs the whole (batch, length) id matrix through the autodiff
-graph. With a ``KVCache`` it is an incremental decode step: ``ids`` are
+``Model.forward(ids, cache)`` is the one transformer forward, and
+``Model._rows`` its one body, which computes with an op set: on a model
+with any parameter that requires a gradient, the autodiff primitives,
+which record the graph (``_GRAPH``); on a gradient-free (``detached``)
+model, their forward halves on the parameters' plain arrays
+(``_ARRAYS``), with only the logits wrapped in a Tensor. Both run the
+same numpy calls in the same order, so the logits keep their bits.
+Without a cache the forward runs the whole (batch, length) id matrix.
+With a ``KVCache`` it is an incremental decode step: ``ids`` are
 the positions right after the cached ones, position embeddings start at
 the cached length, each new query attends to every cached key plus the
 new keys up to itself, and the new keys and values are appended to the
 cache in place. A cache skips the graph for the cached positions, so it
-is only accepted on a gradient-free (``detached``) model. A cache may
+is only accepted on a gradient-free model. A cache may
 hold several segments, blocks of rows with their own cached length: the
 row-wise layers (embeddings, norms, projections, MLP, head) then run once
 over every row, and only attention runs segment by segment. Every one of
@@ -70,9 +76,11 @@ same order.
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import math
+import operator
 import os
 import struct
 import threading
@@ -87,14 +95,20 @@ from .autodiff import (
     add,
     embedding,
     gather,
+    gather_array,
     layer_norm,
+    layer_norm_array,
     log,
+    log_array,
     matmul,
     mlp,
+    mlp_array,
     reshape,
     row_join,
     scaled_masked_softmax,
+    scaled_masked_softmax_array,
     softmax,
+    softmax_array,
     transpose,
 )
 
@@ -354,8 +368,8 @@ def _on_two_threads(fn, first, second):
         lock.release()
 
 
-def _split_rows(model: "Model", ids: np.ndarray) -> Tensor:
-    """``model._rows(ids)``, with rows ``[b//2:]`` run on the helper thread.
+def _split_rows(model: "Model", ids: np.ndarray, ops: "_Ops") -> Tensor:
+    """``model._rows(ids, ops)``, with rows ``[b//2:]`` run on the helper thread.
 
     No row's arithmetic depends on another row, so the logits keep their
     bits; ``row_join`` keeps the gradients' bits too, and its backward
@@ -363,10 +377,31 @@ def _split_rows(model: "Model", ids: np.ndarray) -> Tensor:
     helper busy runs all its rows itself.
     """
     half = len(ids) // 2
-    both = _on_two_threads(model._rows, ids[:half], ids[half:])
+    both = _on_two_threads(lambda part: model._rows(part, ops), ids[:half], ids[half:])
     if both is None:
-        return model._rows(ids)
+        return model._rows(ids, ops)
     return row_join(*both, _on_two_threads)
+
+
+# The calls a forward computes with. ``_GRAPH`` holds the autodiff
+# primitives, which record a node for backward; ``_ARRAYS`` holds their
+# forward halves on plain arrays, which the primitives call themselves, so
+# both sets run the same numpy calls in the same order and give the same
+# bits. ``value`` is what the ops take for a parameter Tensor, and ``wrap``
+# makes the Tensor a forward returns.
+_Ops = collections.namedtuple("_Ops", "value wrap add matmul embedding layer_norm mlp "
+                              "scaled_masked_softmax transpose reshape softmax gather log")
+
+
+def _same(x):
+    return x
+
+
+_GRAPH = _Ops(_same, _same, add, matmul, embedding, layer_norm, mlp, scaled_masked_softmax,
+              transpose, reshape, softmax, gather, log)
+_ARRAYS = _Ops(operator.attrgetter("data"), Tensor, np.add, np.matmul, operator.getitem,
+               layer_norm_array, mlp_array, scaled_masked_softmax_array, np.ndarray.transpose,
+               np.ndarray.reshape, softmax_array, gather_array, log_array)
 
 
 class Model:
@@ -420,6 +455,10 @@ class Model:
 
     # --- forward paths ---
 
+    def _ops(self) -> _Ops:
+        """``_GRAPH`` if any parameter requires a gradient, else ``_ARRAYS``."""
+        return _GRAPH if any(w.requires_grad for w in self.params.values()) else _ARRAYS
+
     def forward(self, token_ids: np.ndarray, cache: KVCache | None = None) -> Tensor:
         """Logits (batch, length, vocab) for a (batch, length) int matrix.
 
@@ -427,7 +466,8 @@ class Model:
         ``cache``, each row of ``token_ids`` continues its segment's cached
         positions and every segment grows by ``length``; the model must be
         gradient-free. Row-wise layers run once over all rows; attention
-        runs once per segment.
+        runs once per segment. A gradient-free model runs on the
+        parameters' arrays and builds no graph.
         """
         ids = np.asarray(token_ids)
         if ids.ndim != 2:
@@ -444,6 +484,8 @@ class Model:
             )
         if t == 0:
             raise ValueError("forward on empty sequence")
+        if b == 0:
+            raise ValueError("forward on empty batch: the id matrix has 0 rows")
         if ids.min() < 0 or ids.max() >= c.vocab_size:
             raise ValueError(
                 f"token id out of vocab (size {c.vocab_size}): "
@@ -451,26 +493,29 @@ class Model:
             )
         if sum(rows) != b:
             raise ValueError(f"{b} id rows for a cache of {sum(rows)} rows")
+        ops = self._ops()
         if cache is not None:
-            if any(w.requires_grad for w in self.params.values()):
+            if ops is _GRAPH:
                 raise ValueError(
                     "a K/V cache bypasses autodiff; forward it on model.detached()"
                 )
             if not cache.segments:
                 cache.segments.append([])
         elif b >= 2 and b * t * c.d_model >= BLOCK_ELEMS and _usable_cpus() >= 2:
-            return _split_rows(self, ids)
-        return self._rows(ids, cache, starts, rows)
+            return _split_rows(self, ids, ops)
+        return self._rows(ids, ops, cache, starts, rows)
 
-    def _rows(self, ids: np.ndarray, cache: KVCache | None = None, starts=(0,),
-              rows=None) -> Tensor:
-        """``forward`` after its checks. ``_split_rows`` runs it on two
-        threads at once, so it never calls ``forward``: a traced run wraps
-        that name with a span recorder only one thread may use."""
+    def _rows(self, ids: np.ndarray, ops: _Ops | None = None, cache: KVCache | None = None,
+              starts=(0,), rows=None) -> Tensor:
+        """``forward`` after its checks, computed with ``ops`` (by default the
+        model's own). ``_split_rows`` runs it on two threads at once, so it
+        never calls ``forward``: a traced run wraps that name with a span
+        recorder only one thread may use. A cache comes only with ``_ARRAYS``."""
         b, t = ids.shape
         c = self.config
         rows = rows or [b]
-        p = self.params
+        ops = ops or self._ops()
+        p = {name: ops.value(w) for name, w in self.params.items()}
         h = c.n_heads
         hd = c.d_model // h
 
@@ -478,48 +523,48 @@ class Model:
             positions = np.arange(starts[0], starts[0] + t)
         else:  # each segment's rows at that segment's positions
             positions = np.repeat(starts, rows)[:, None] + np.arange(t)
-        x = add(embedding(p["wte"], ids), embedding(p["wpe"], positions))
+        x = ops.add(ops.embedding(p["wte"], ids), ops.embedding(p["wpe"], positions))
         # One new position sees every cached one: no entry to mask.
         masks = ([~np.tril(np.ones((t, start + t), dtype=bool), k=start) for start in starts]
                  if t > 1 else [None] * len(starts))
 
         def attend(q, k, v, causal):
-            att = matmul(q, transpose(k, (0, 1, 3, 2)))
-            att = scaled_masked_softmax(att, 1.0 / np.sqrt(hd), causal, _MASK_FILL_VALUE)
-            return matmul(att, v)
+            att = ops.matmul(q, ops.transpose(k, (0, 1, 3, 2)))
+            att = ops.scaled_masked_softmax(att, 1.0 / np.sqrt(hd), causal, _MASK_FILL_VALUE)
+            return ops.matmul(att, v)
 
         for i in range(c.n_layers):
             pre = f"layers.{i}."
-            ln1 = layer_norm(x, p[pre + "ln1.weight"], p[pre + "ln1.bias"])
+            ln1 = ops.layer_norm(x, p[pre + "ln1.weight"], p[pre + "ln1.bias"])
 
             def heads(mat, bias):
-                y = add(matmul(ln1, p[pre + "attn." + mat]), p[pre + "attn." + bias])
-                return transpose(reshape(y, (b, t, h, hd)), (0, 2, 1, 3))
+                y = ops.add(ops.matmul(ln1, p[pre + "attn." + mat]), p[pre + "attn." + bias])
+                return ops.transpose(ops.reshape(y, (b, t, h, hd)), (0, 2, 1, 3))
 
             q = heads("wq", "bq")
             k = heads("wk", "bk")
             v = heads("wv", "bv")
             if len(rows) == 1:
                 if cache is not None:
-                    k, v = map(Tensor, cache.extend(0, i, k.data, v.data))
+                    k, v = cache.extend(0, i, k, v)
                 out = attend(q, k, v, masks[0])
             else:
                 parts, lo = [], 0
                 for s, (n, mask) in enumerate(zip(rows, masks)):
-                    ks, vs = cache.extend(s, i, k.data[lo:lo + n], v.data[lo:lo + n])
-                    parts.append(attend(Tensor(q.data[lo:lo + n]), Tensor(ks), Tensor(vs), mask).data)
+                    ks, vs = cache.extend(s, i, k[lo:lo + n], v[lo:lo + n])
+                    parts.append(attend(q[lo:lo + n], ks, vs, mask))
                     lo += n
-                out = Tensor(np.concatenate(parts))
-            out = reshape(transpose(out, (0, 2, 1, 3)), (b, t, c.d_model))
-            out = add(matmul(out, p[pre + "attn.wo"]), p[pre + "attn.bo"])
-            x = add(x, out)
+                out = np.concatenate(parts)
+            out = ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (b, t, c.d_model))
+            out = ops.add(ops.matmul(out, p[pre + "attn.wo"]), p[pre + "attn.bo"])
+            x = ops.add(x, out)
 
-            ln2 = layer_norm(x, p[pre + "ln2.weight"], p[pre + "ln2.bias"])
-            x = add(x, mlp(ln2, p[pre + "mlp.w1"], p[pre + "mlp.b1"],
-                           p[pre + "mlp.w2"], p[pre + "mlp.b2"]))
+            ln2 = ops.layer_norm(x, p[pre + "ln2.weight"], p[pre + "ln2.bias"])
+            x = ops.add(x, ops.mlp(ln2, p[pre + "mlp.w1"], p[pre + "mlp.b1"],
+                                   p[pre + "mlp.w2"], p[pre + "mlp.b2"]))
 
-        x = layer_norm(x, p["lnf.weight"], p["lnf.bias"])
-        return add(matmul(x, p["head.w"]), p["head.b"])
+        x = ops.layer_norm(x, p["lnf.weight"], p["lnf.bias"])
+        return ops.wrap(ops.add(ops.matmul(x, p["head.w"]), p["head.b"]))
 
     def token_log_probs(self, prompt_ids, response_ids) -> Tensor:
         """Per-token log prob of each response token given its true prefix.
@@ -590,10 +635,12 @@ def sample_batch(
     greedy, each running row draws one ``random()`` from its own stream
     per step, in row order, and the step's tokens come from one
     ``inverse_cdf`` call. An empty prompt, or one of ``context_length``
-    tokens or more, is a ValueError.
+    tokens or more, or ``max_new`` below 1, is a ValueError.
     """
     if len(prompts) != len(seeds):
         raise ValueError("prompts and seeds must align")
+    if max_new < 1:
+        raise ValueError(f"max_new must be >= 1, got {max_new}")
     if not greedy and temperature <= 0:
         raise ValueError("temperature must be > 0 (use greedy for the argmax limit)")
     for i, prompt in enumerate(prompts):
@@ -629,7 +676,7 @@ def sample_batch(
             tokens = np.argmax(logits, axis=-1)
         else:
             u = np.array([rngs[r].random() for r in live])
-            tokens = inverse_cdf(softmax(Tensor(logits / temperature)).data, u)
+            tokens = inverse_cdf(softmax_array(logits / temperature), u)
         for r, token in zip(live, tokens):
             outs[r].append(int(token))
         running = tokens != EOS_ID
@@ -652,11 +699,14 @@ def batch_token_log_probs(model: Model, ids: np.ndarray) -> Tensor:
 
     The one teacher-forced path: ``Model.token_log_probs`` slices its
     response positions out of this on a single row. Rows are padded
-    sequences; the caller masks out pad and prompt positions.
+    sequences; the caller masks out pad and prompt positions. A
+    gradient-free model's log probs are computed on arrays, like its
+    forward.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    logits = model.forward(ids[:, :-1])
-    return log(gather(softmax(logits), ids[:, 1:]))
+    ops = model._ops()
+    logits = ops.value(model.forward(ids[:, :-1]))
+    return ops.wrap(ops.log(ops.gather(ops.softmax(logits), ids[:, 1:])))
 
 
 # --- checkpoint io ---

@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, backward, mul, softmax
+from .autodiff import Tensor, backward, mul, softmax_array
 from .evalreport import teacher_forced_probs
 from .losses import dft_token_loss, sft_loss
 from .model import Model, ModelConfig, Record, _usable_cpus, batch_token_log_probs, inverse_cdf
@@ -186,7 +186,7 @@ def variance_probe(model: Model, prompt, y_star: int, n_samples: int,
     y_star = int(y_star)
     net = model.detached()
     logits = net.forward(np.asarray(prompt, dtype=np.int64)[None, :]).data[0, -1]
-    probs = softmax(Tensor(logits)).data
+    probs = softmax_array(logits)
     p_star = float(probs[y_star])
     _, g = grad_log_prob(model, prompt, [y_star])
     g_sq_mean = float(np.mean(g * g))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dftlab import autodiff
 from dftlab.evalreport import (
     DEFAULT_BIN_EDGES,
     EvalResult,
@@ -14,7 +15,7 @@ from dftlab.evalreport import (
     write_comparison,
 )
 from dftlab.losses import LossSpec
-from dftlab.model import Model, ModelConfig
+from dftlab.model import Model, ModelConfig, sample_batch
 from dftlab.tasks import Demonstration, default_task_spec, generate_dataset
 from dftlab.training import RunConfig, train_run
 
@@ -39,6 +40,26 @@ def addition_bits():
     model = Model(ModelConfig(vocab_size=17, d_model=16, n_layers=1, n_heads=2,
                               context_length=48, seed=6))
     return model, train
+
+
+def test_a_gradient_free_forward_builds_no_graph(addition_bits, monkeypatch):
+    model, train = addition_bits
+    made = []
+    make = autodiff._make
+
+    def counting(*args):
+        made.append(args[1])
+        return make(*args)
+
+    monkeypatch.setattr(autodiff, "_make", counting)
+    prompts = [d.prompt_ids for d in train]
+    for net in (model.detached(), model):  # the read-outs detach a trainable model themselves
+        for greedy in (False, True):
+            sample_batch(net, prompts, 8, 0.7, list(range(len(prompts))), greedy)
+        token_histogram(net, train)
+    assert made == []
+    logits = model.forward(np.array([prompts[0]]))
+    assert made and logits.requires_grad and logits._node is not None
 
 
 # --- evaluate ---

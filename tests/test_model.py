@@ -163,6 +163,37 @@ GOLDEN_DECODE_SHA256 = [
 ]
 
 
+def test_cached_forward_golden(small_model):
+    # recorded once; guards every cached forward's logits bit for bit: a
+    # prefill, one-position steps at 1, 24 and 40 rows, a two-segment
+    # joined cache (one- and two-position steps) and a step after keep
+    net = small_model.detached()
+    rng = np.random.default_rng(11)
+    digest = hashlib.sha256()
+
+    def forward(rows, length, cache):
+        ids = rng.integers(2, SMALL.vocab_size, size=(rows, length))
+        digest.update(np.ascontiguousarray(net.forward(ids, cache).data, dtype="<f8").tobytes())
+
+    for rows in (1, 24, 40):
+        cache = KVCache()
+        forward(rows, 5, cache)
+        forward(rows, 1, cache)
+    first, second = KVCache(), KVCache()
+    forward(3, 4, first)
+    forward(5, 6, second)
+    cache = KVCache.join([first, second])
+    forward(8, 1, cache)
+    forward(8, 2, cache)
+    cache.keep(np.array([False, True, False, True, True, False, False, True]))
+    assert cache.rows == [1, 3]
+    forward(4, 1, cache)
+    assert digest.hexdigest() == GOLDEN_CACHED_LOGITS_SHA256
+
+
+GOLDEN_CACHED_LOGITS_SHA256 = "5299485c3389bab2eac09206dc09cccf4aa874002280712e0963743bd65a2727"
+
+
 def test_rejects_out_of_vocab(small_model):
     with pytest.raises(ValueError, match="vocab"):
         small_model.forward(np.array([[2, 99]]))
@@ -362,6 +393,27 @@ def test_joined_cache_forward_equals_each_segment_alone_bit_for_bit(small_model)
 def test_cache_needs_a_gradient_free_model(small_model):
     with pytest.raises(ValueError, match="autodiff"):
         small_model.forward(np.array([[2, 3]]), KVCache())
+
+
+@pytest.mark.parametrize("detached, cached", [(False, False), (True, False), (True, True)],
+                         ids=["graph", "arrays", "cache"])
+def test_forward_rejects_an_empty_batch(small_model, detached, cached):
+    model = small_model.detached() if detached else small_model
+    with pytest.raises(ValueError, match="empty batch"):
+        model.forward(np.zeros((0, 3), dtype=np.int64), KVCache() if cached else None)
+
+
+@pytest.mark.parametrize("max_new", [0, -2])
+def test_sampling_rejects_max_new_below_one_before_any_forward(small_model, monkeypatch,
+                                                               max_new):
+    def refuse(self, ids, cache=None):
+        raise AssertionError("forwarded")
+
+    monkeypatch.setattr(Model, "forward", refuse)
+    with pytest.raises(ValueError, match="max_new"):
+        sample_batch(small_model, [[2, 3], [4]], max_new, 1.0, [0, 1])
+    with pytest.raises(ValueError, match="max_new"):
+        small_model.sample([2, 3], max_new, greedy=True)
 
 
 def test_cache_rejects_positions_past_the_context(small_model):

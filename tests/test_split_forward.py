@@ -91,6 +91,21 @@ def test_split_forward_keeps_the_serial_bits(submits, config, rows, length):
     assert same_bits(got, net._rows(ids).data)
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("rows", [1, 33, 64])
+@pytest.mark.parametrize("config, length", [(ACCEPTANCE, 47), (DEFAULT, 40)],
+                         ids=["acceptance", "default"])
+def test_a_detached_forward_keeps_the_graph_forwards_bits(monkeypatch, config, length, rows,
+                                                          cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    trainable = Model(config)
+    ids = ids_for(config, rows, length)
+    graph = trainable.forward(ids)
+    assert graph.requires_grad
+    assert (graph._node.op == "row-join") == (cpus == 2 and rows > 1)
+    assert same_bits(trainable.detached().forward(ids).data, graph.data)
+
+
 def test_a_trainable_forward_joins_its_row_halves(submits):
     trainable = Model(ACCEPTANCE)
     ids = ids_for(ACCEPTANCE, 64, 47)
