@@ -3,9 +3,11 @@
 ``Model.forward`` runs rows ``[b//2:]`` on one persistent helper thread
 and the rest on the caller when there is no ``KVCache``, the input has at
 least 2 rows and rows × length × ``d_model`` is at least ``BLOCK_ELEMS``,
-and the process may run on 2 CPUs. Every test here compares against
-``Model._rows``, the serial forward both halves run, and checks byte for
-byte. ``test_split_step.py`` covers the backward of a trainable forward.
+and the process may run on 2 CPUs. The tests here compare against
+``Model._rows``, the serial forward both halves run, or, for a detached
+model's forward, which runs on plain arrays, against the trainable
+model's graph forward, split or not; all check byte for byte.
+``test_split_step.py`` covers the backward of a trainable forward.
 """
 
 import multiprocessing
