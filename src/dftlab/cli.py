@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -164,8 +165,9 @@ class PlanConfig(CommandConfig):
             raise ValueError(f"'eval_prompt_cap' must be >= 0, got {self.eval_prompt_cap}")
         if self.eval_k < 1:
             raise ValueError(f"'eval_k' must be >= 1, got {self.eval_k}")
-        if self.eval_temperature <= 0:
-            raise ValueError(f"'eval_temperature' must be > 0, got {self.eval_temperature}")
+        if not (math.isfinite(self.eval_temperature) and self.eval_temperature > 0):
+            raise ValueError(f"'eval_temperature' must be finite and > 0, "
+                             f"got {self.eval_temperature}")
 
 
 @dataclass(kw_only=True)
@@ -183,8 +185,9 @@ class EvalConfig(CommandConfig):
             raise ValueError(f"'split' must be 'in' or 'ood', got {self.split!r}")
         if self.k < 1:
             raise ValueError(f"'k' must be >= 1, got {self.k}")
-        if self.temperature <= 0 and not self.greedy:
-            raise ValueError(f"'temperature' must be > 0 unless greedy, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0) and not self.greedy:
+            raise ValueError(f"'temperature' must be finite and > 0 unless greedy, "
+                             f"got {self.temperature}")
 
 
 @dataclass(kw_only=True)

@@ -25,9 +25,11 @@ row-wise layers (embeddings, norms, projections, MLP, head) then run once
 over every row, and only attention runs segment by segment. Every one of
 those layers computes each row on its own, so a row's logits keep their
 bits whichever segments share the step. ``sample_batch`` prefills one
-segment per prompt-length group, then forwards one position per
-still-running row of every group per step, and drops a row from the batch
-and from the cache once it has emitted EOS or reached its group's limit.
+segment per prompt-length group, from that group's distinct prompts, and
+copies each prompt's keys and values to every row that samples it; it
+then forwards one position per still-running row of every group per
+step, and drops a row from the batch and from the cache once it has
+emitted EOS or reached its group's limit.
 Each block's MLP is one ``autodiff.mlp`` node, which keeps only its input
 for backward and recomputes the hidden layer there.
 
@@ -66,7 +68,8 @@ Checkpoint file layout (little-endian throughout):
 
 ``save_checkpoint`` writes to ``<path>.tmp`` and renames it over
 ``path``. ``load_checkpoint`` requires exactly the config's parameter
-set, each once with its config shape, and no bytes after the last one.
+set, each once with its config shape and finite values, and no bytes
+after the last one.
 
 Canonical parameter order is the insertion order of ``Model.params``:
 wte, wpe, per-layer blocks (ln1, attention, ln2, mlp), final norm, head.
@@ -627,22 +630,27 @@ def sample_batch(
 
     Prompts are grouped by length so each group stays position-aligned
     (the model has no pad-aware attention); per-prompt streams make the
-    output independent of grouping. Each group prefills its own K/V cache
-    segment; then one step loop forwards one new position for every
-    running row of every group at once. A row leaves the batch and the
-    cache once it has emitted EOS or its group has reached its limit,
-    ``min(max_new, context_length - prompt length)`` new tokens. Unless
-    greedy, each running row draws one ``random()`` from its own stream
-    per step, in row order, and the step's tokens come from one
-    ``inverse_cdf`` call. An empty prompt, or one of ``context_length``
-    tokens or more, or ``max_new`` below 1, is a ValueError.
+    output independent of grouping. Each group prefills its distinct
+    prompts once, into its own K/V cache segment, and gives every row a
+    copy of its prompt's keys, values and last logits; then one step loop
+    forwards one new position for every running row of every group at
+    once. A row leaves the batch and the cache once it has emitted EOS or
+    its group has reached its limit, ``min(max_new, context_length -
+    prompt length)`` new tokens. Unless greedy, each row draws all of its
+    uniforms before the loop, with one ``random(n)`` call on its own
+    stream: the doubles that n ``random()`` calls would return, one per
+    step. Each step's tokens come from one ``inverse_cdf`` call. An empty
+    prompt, or one of ``context_length`` tokens or more, ``max_new``
+    below 1, or a temperature that is not finite and > 0 unless greedy,
+    is a ValueError.
     """
     if len(prompts) != len(seeds):
         raise ValueError("prompts and seeds must align")
     if max_new < 1:
         raise ValueError(f"max_new must be >= 1, got {max_new}")
-    if not greedy and temperature <= 0:
-        raise ValueError("temperature must be > 0 (use greedy for the argmax limit)")
+    if not greedy and not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be finite and > 0 (use greedy for the argmax "
+                         f"limit), got {temperature}")
     for i, prompt in enumerate(prompts):
         if not 0 < len(prompt) < model.config.context_length:
             raise ValueError(f"prompt {i} has {len(prompt)} tokens; sampling needs 1 "
@@ -657,10 +665,17 @@ def sample_batch(
     groups = sorted(by_len.items())
 
     caches, logits = [], []
-    for plen, indices in groups:  # one prefill, and one cache segment, per group
-        caches.append(KVCache())
-        prefill = np.array([prompts[i] for i in indices], dtype=np.int64)
-        logits.append(net.forward(prefill, caches[-1]).data[:, -1, :])
+    for plen, indices in groups:  # one prefill, of the distinct prompts, and one segment a group
+        distinct: dict[tuple, int] = {}
+        copies = np.array([distinct.setdefault(tuple(prompts[i]), len(distinct))
+                           for i in indices])
+        cache = KVCache()
+        last = net.forward(np.array(list(distinct), dtype=np.int64), cache).data[:, -1, :]
+        if len(distinct) < len(indices):  # each row gets its own copy of its prompt's rows
+            cache = KVCache([[(k[copies], v[copies]) for k, v in seg] for seg in cache.segments])
+            last = last[copies]
+        caches.append(cache)
+        logits.append(last)
     cache = KVCache.join(caches)
     del caches  # so that the rows the joined cache drops are freed
     logits = np.concatenate(logits)
@@ -668,17 +683,19 @@ def sample_batch(
     group_limits = [min(max_new, model.config.context_length - plen) for plen, _ in groups]
     limits = np.repeat(group_limits, [len(indices) for _, indices in groups])
     stops = set(group_limits)
-    rngs = [np.random.default_rng(seeds[i]) for i in order]
-    outs = [[] for _ in order]
+    horizon = max(group_limits)
+    if not greedy:  # row r's draw at step s is draws[r, s - 1]
+        draws = np.array([np.random.default_rng(seeds[i]).random(horizon) for i in order])
+    sampled = np.zeros((len(order), horizon), dtype=np.int64)
+    ends = np.zeros(len(order), dtype=np.int64)  # tokens each row has emitted
     live = np.arange(len(order))  # rows still sampling, in row order
-    for step in range(1, max(group_limits) + 1):
+    for step in range(1, horizon + 1):
         if greedy:
             tokens = np.argmax(logits, axis=-1)
         else:
-            u = np.array([rngs[r].random() for r in live])
-            tokens = inverse_cdf(softmax_array(logits / temperature), u)
-        for r, token in zip(live, tokens):
-            outs[r].append(int(token))
+            tokens = inverse_cdf(softmax_array(logits / temperature), draws[live, step - 1])
+        sampled[live, step - 1] = tokens
+        ends[live] = step
         running = tokens != EOS_ID
         if step in stops:  # a group reaches its limit: its rows leave
             running &= limits[live] > step
@@ -689,8 +706,8 @@ def sample_batch(
             cache.keep(running)
         logits = net.forward(tokens[:, None], cache).data[:, -1, :]
     results: list = [None] * len(prompts)
-    for r, idx in enumerate(order):
-        results[idx] = outs[r]
+    for idx, row, end in zip(order, sampled.tolist(), ends.tolist()):
+        results[idx] = row[:end]
     return results
 
 
@@ -744,8 +761,9 @@ def load_checkpoint(path) -> Model:
     """Read a checkpoint holding exactly its config's parameter set.
 
     Raises ValueError, naming ``path``, for a bad magic or config, an
-    unknown, repeated, missing or misshapen parameter, a truncated file,
-    or bytes after the last parameter.
+    unknown, repeated, missing or misshapen parameter, a parameter with a
+    NaN or infinite value, a truncated file, or bytes after the last
+    parameter.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -785,6 +803,8 @@ def load_checkpoint(path) -> Model:
                 f"{path}: shape {shape} for {name!r} does not match config"
             )
         data = np.frombuffer(take(math.prod(shape) * 8), dtype="<f8").reshape(shape)
+        if not np.isfinite(data).all():  # sampling from such a model emits only PAD
+            raise ValueError(f"{path}: parameter {name!r} holds a non-finite value")
         loaded[name] = Tensor(data.copy(), requires_grad=True)
     if pos != len(raw):
         raise ValueError(

@@ -15,6 +15,7 @@ detokenize.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .model import EOS_ID, PAD_ID, Model, Record, sample_batch
@@ -34,8 +35,8 @@ class RftConfig(Record):
     def __post_init__(self):
         if self.n_responses_per_prompt < 1:
             raise ValueError("n_responses_per_prompt must be >= 1")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
         if self.prompt_count < 0:  # -3 would drop the last 3 prompts

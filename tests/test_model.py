@@ -9,6 +9,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
+import dftlab.model
 from dftlab.autodiff import Tensor, log, reshape, softmax
 from dftlab.model import (
     EOS_ID,
@@ -25,6 +26,7 @@ from dftlab.model import (
 from dftlab.evalreport import EvalResult, ProbHistogram
 from dftlab.losses import LossSpec
 from dftlab.rft import FilterStats, RftConfig
+from dftlab.seeding import derive_seed
 from dftlab.tasks import Demonstration, TaskSpec
 from dftlab.training import RunConfig, TrainMetrics
 
@@ -416,6 +418,22 @@ def test_sampling_rejects_max_new_below_one_before_any_forward(small_model, monk
         small_model.sample([2, 3], max_new, greedy=True)
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -float("inf"), 0.0])
+def test_sampling_rejects_a_temperature_not_finite_and_positive_before_any_forward(
+        small_model, monkeypatch, temperature):
+    original = Model.forward
+
+    def refuse(self, ids, cache=None):
+        raise AssertionError("forwarded")
+
+    monkeypatch.setattr(Model, "forward", refuse)
+    with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+        sample_batch(small_model, [[2, 3], [4]], 5, temperature, [1, 2])
+    monkeypatch.setattr(Model, "forward", original)
+    assert small_model.sample([2, 3], 5, temperature, greedy=True) == small_model.sample(
+        [2, 3], 5, greedy=True)  # greedy reads no temperature
+
+
 def test_cache_rejects_positions_past_the_context(small_model):
     net = small_model.detached()
     cache = KVCache()
@@ -493,9 +511,9 @@ def test_finished_rows_stop_reaching_forward(small_model, monkeypatch):
     monkeypatch.setattr(Model, "forward", counting)
     prompts = [[2, 3]] * 6 + [[4, 5, 6]] * 5
     out = sample_batch(small_model, prompts, 10, 1.0, list(range(len(prompts))))
-    # one prefill per length group, then one position per step for each row
-    # that has not yet emitted EOS
-    expected = sum(len(p) for p in prompts) + sum(len(c) - 1 for c in out)
+    # one prefill row per distinct prompt, then one position per step for
+    # each row that has not yet emitted EOS
+    expected = 2 + 3 + sum(len(c) - 1 for c in out)
     assert sum(forwarded) == expected
     assert len({len(c) for c in out}) > 1
 
@@ -513,11 +531,74 @@ def test_sample_batch_steps_every_length_group_in_one_forward(small_model, monke
     out = sample_batch(small_model, prompts, 10, 1.0, list(range(len(prompts))))
     longest = [max(len(c) for c in out[lo:hi]) for lo, hi in ((0, 3), (3, 5), (5, 8))]
     assert sorted(longest)[1] > 1  # at least two groups step together
-    # one prefill per group, then one forward per step of the longest-running
-    # group, not one per group
-    assert shapes[:3] == [(3, 2), (2, 4), (3, 6)]
+    # one prefill per group, of its one distinct prompt, then one forward per
+    # step of the longest-running group, not one per group
+    assert shapes[:3] == [(1, 2), (1, 4), (1, 6)]
     assert len(shapes) == 3 + max(longest) - 1
     assert all(t == 1 for _, t in shapes[3:])
+
+
+def test_one_random_call_draws_what_successive_calls_draw():
+    for seed in [derive_seed(s, "eval", i, j) for s in (0, 1001) for i in range(3)
+                 for j in range(2)] + [derive_seed(4, "rft", 0, 0)]:
+        whole = np.random.default_rng(seed).random(SMALL.context_length)
+        one_by_one = np.random.default_rng(seed)
+        steps = np.array([one_by_one.random() for _ in range(SMALL.context_length)])
+        assert np.array_equal(whole.view(np.uint64), steps.view(np.uint64)), seed
+
+
+def test_sampling_makes_one_generator_and_one_random_call_per_row(small_model, monkeypatch):
+    prompts = [[2, 3], [4, 5, 6], [2, 3], [3, 2], [4, 5, 6], [2, 3], [7]]
+    seeds = list(range(300, 300 + len(prompts)))
+    want = sample_batch(small_model, prompts, 12, 0.7, seeds)
+    made = []
+    real = np.random.default_rng
+
+    class Counted:
+        def __init__(self, seed):
+            self.seed, self.calls, self.gen = seed, 0, real(seed)
+            made.append(self)
+
+        def random(self, *args):
+            self.calls += 1
+            return self.gen.random(*args)
+
+    monkeypatch.setattr(dftlab.model.np.random, "default_rng", Counted)
+    assert sample_batch(small_model, prompts, 12, 0.7, seeds) == want
+    assert sorted(g.seed for g in made) == seeds
+    assert [g.calls for g in made] == [1] * len(prompts)
+    made.clear()
+    sample_batch(small_model, prompts, 12, 0.7, seeds, greedy=True)
+    assert made == []
+
+
+@pytest.mark.parametrize("greedy", [False, True])
+def test_repeated_prompts_sample_what_each_row_samples_alone(small_model, greedy):
+    k = 3
+    rng = np.random.default_rng(12)
+    distinct = [[2, 3], [4, 5, 6], [3, 2], [6, 5, 4], [7, 7]]
+    prompts = [distinct[i] for i in rng.permutation(np.repeat(np.arange(len(distinct)), k))]
+    seeds = [derive_seed(5, "eval", i) for i in range(len(prompts))]
+    got = sample_batch(small_model, prompts, 10, 0.7, seeds, greedy)
+    assert got == [small_model.sample(p, 10, 0.7, s, greedy) for p, s in zip(prompts, seeds)]
+    copies = [c for p, c in zip(prompts, got) if p == [2, 3]]
+    assert len(copies) == k and len({tuple(c) for c in copies}) == (1 if greedy else k)
+
+
+def test_forward_prefills_one_row_per_distinct_prompt(small_model, monkeypatch):
+    shapes = []
+    original = Model.forward
+
+    def counting(self, ids, cache=None):
+        shapes.append(np.asarray(ids).shape)
+        return original(self, ids, cache)
+
+    monkeypatch.setattr(Model, "forward", counting)
+    prompts = [[2, 3], [4, 5, 6], [2, 3], [3, 2], [4, 5, 6], [2, 3], [5, 5, 5]]
+    sample_batch(small_model, prompts, 6, 1.0, list(range(len(prompts))))
+    assert shapes[:2] == [(2, 2), (2, 3)]
+    assert shapes[2] == (len(prompts), 1)  # every row steps on its own copy
+    assert all(t == 1 for _, t in shapes[2:])
 
 
 @pytest.mark.parametrize("greedy", [False, True])
@@ -560,6 +641,16 @@ def test_checkpoint_round_trip(tmp_path, small_model):
     assert np.array_equal(
         small_model.forward(ids).data, loaded.forward(ids).data
     )
+
+
+def test_checkpoint_rejects_a_non_finite_parameter(tmp_path, small_model):
+    path = tmp_path / "nan.ckpt"
+    for name, value in (("head.b", np.nan), ("layers.0.attn.wq", -np.inf)):
+        broken = small_model.copy()
+        broken.params[name].data.flat[1] = value
+        save_checkpoint(broken, path)
+        with pytest.raises(ValueError, match=rf"nan\.ckpt: parameter '{name}' holds a non-finite"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

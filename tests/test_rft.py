@@ -132,3 +132,10 @@ def test_rft_config_rejects_a_negative_prompt_count():
     # prompts[:-3] would sample all but the last three prompts
     with pytest.raises(ValueError, match="prompt_count must be >= 0, got -3"):
         RftConfig(prompt_count=-3)
+
+
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), 0.0])
+def test_rft_config_rejects_a_temperature_not_finite_and_positive(temperature):
+    # json.loads reads NaN, and sampling at a NaN temperature emits only PAD
+    with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+        RftConfig.from_dict({"temperature": temperature})
