@@ -421,15 +421,13 @@ def test_sampling_rejects_max_new_below_one_before_any_forward(small_model, monk
 @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -float("inf"), 0.0])
 def test_sampling_rejects_a_temperature_not_finite_and_positive_before_any_forward(
         small_model, monkeypatch, temperature):
-    original = Model.forward
-
     def refuse(self, ids, cache=None):
         raise AssertionError("forwarded")
 
     monkeypatch.setattr(Model, "forward", refuse)
     with pytest.raises(ValueError, match="temperature must be finite and > 0"):
         sample_batch(small_model, [[2, 3], [4]], 5, temperature, [1, 2])
-    monkeypatch.setattr(Model, "forward", original)
+    monkeypatch.undo()
     assert small_model.sample([2, 3], 5, temperature, greedy=True) == small_model.sample(
         [2, 3], 5, greedy=True)  # greedy reads no temperature
 
@@ -450,8 +448,9 @@ def test_cache_rejects_positions_past_the_context(small_model):
 def full_prefix_sample_batch(model, prompts, max_new, temperature, seeds, greedy=False):
     """Reference sampler: re-forwards every row's whole prefix for each token.
 
-    Same per-row stream protocol as ``sample_batch``: one ``random()`` per
-    unfinished row per step, in row order.
+    Same per-row streams as ``sample_batch``: one ``random()`` per
+    unfinished row per step, the doubles that ``sample_batch`` takes from
+    one ``random(n)`` call per row.
     """
     net = model.detached()
     results = [None] * len(prompts)
