@@ -14,7 +14,7 @@ heap stays mapped for the next step.
 The arena count is capped at one. glibc gives each further thread that
 allocates an arena of its own (up to eight per core), whose freed pages
 stay apart from the main heap: with the split forward's helper thread
-(``dftlab.model``) on its own arena, the benchmark's ``finetune``
+(``dftlab.parallel``) on its own arena, the benchmark's ``finetune``
 workload peaked at 62.8 MB RSS, against 57.4 MB with the cap. With one
 arena every thread allocates from the main heap.
 

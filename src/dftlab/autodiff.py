@@ -52,14 +52,16 @@ Conventions
   and any thread may build or walk its own. One graph is built and
   walked by one thread, except across a ``row_join``: its two halves are
   separate graphs over the same leaves, built by the caller of
-  ``Model.forward`` and its helper thread, and ``backward`` walks each
-  half's subgraph on its own thread (``_walk_halves``). The halves meet
-  only in the gradients of inputs without a batch-row axis, weights and
-  tables, which are sums over batch rows (``_RowSum``): the second
-  half's rows carry on from the first half's sum, in row order, so each
-  gradient has the bits of one graph over all the rows. Every other
-  gradient stays inside its half. Leaf ``.grad``s are written once,
-  after both halves, on the thread that called ``backward``.
+  ``Model.forward`` and the helper thread of ``dftlab.parallel``, and
+  ``backward`` walks each half's subgraph on its own thread
+  (``_walk_halves``, through ``parallel.on_two_threads``). The halves
+  meet only in the gradients of inputs without a batch-row axis, weights,
+  tables and the position-embedding lookup both halves add, which are
+  sums over batch rows (``_RowSum``): the second half's rows carry on
+  from the first half's sum, in row order, so each gradient has the bits
+  of one graph over all the rows. Every other gradient stays inside its
+  half. Leaf ``.grad``s are written once, after both halves, on the
+  thread that called ``backward``.
 * The primitives a model forward calls have their forward halves on
   plain arrays: ``softmax_array``, ``scaled_masked_softmax_array``,
   ``layer_norm_array``, ``mlp_array``, ``gather_array`` and
@@ -107,6 +109,8 @@ import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from .parallel import on_two_threads
 
 LOG_FLOOR = 1e-12
 BLOCK_ELEMS = 1 << 15  # 256 KB of float64: a blocked kernel's working set fits in L2
@@ -251,7 +255,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple, borrowed: bool = True):
     halves share. ``borrowed`` is False when ``grad`` is the rule's own
     product, not the gradient it received.
     """
-    if grad.ndim > len(shape) and _this_thread.walk is not None:
+    if grad.ndim > len(shape) and _this_thread.halves is not None:
         return _row_sum(grad, finish=lambda rows: _sum_to(rows, shape), borrowed=borrowed)
     return _sum_to(grad, shape)
 
@@ -361,15 +365,12 @@ class _Halves:
             return self.first.pop(slot)
 
 
-class _HalfWalk:
-    __slots__ = ("halves", "half", "opened")
-
-    def __init__(self, halves: _Halves, half: int):
-        self.halves, self.half, self.opened = halves, half, 0
-
-
 class _ThisThread(threading.local):
-    walk: Optional[_HalfWalk] = None  # the row half this thread's backward walks, if any
+    """The row half this thread's backward walks, if any."""
+
+    halves: Optional[_Halves] = None  # the walked ``row_join``'s shared sums
+    half = 0  # 0 for the first rows, 1 for the rest
+    opened = 0  # the row sums this walk has opened so far
 
 
 _this_thread = _ThisThread()
@@ -394,16 +395,16 @@ class _RowSum:
     is read from its slot once both walks are over.
     """
 
-    __slots__ = ("step", "finish", "carry", "walk", "slot")
+    __slots__ = ("step", "finish", "carry", "slot")
 
     def __init__(self, finish: Optional[Callable] = None, step: Callable = _carry_rows):
         self.step, self.finish, self.carry = step, finish, None
-        walk = self.walk = _this_thread.walk
-        if walk is not None:
-            self.slot = walk.opened
-            walk.opened += 1
-            if walk.half:  # before the rule allocates anything for its rows
-                self.carry = walk.halves.take(self.slot)
+        this = _this_thread
+        if this.halves is not None:
+            self.slot = this.opened
+            this.opened += 1
+            if this.half:  # before the rule allocates anything for its rows
+                self.carry = this.halves.take(self.slot)
 
     def add(self, *block, borrowed: bool = False) -> None:
         if borrowed and self.carry is not None:
@@ -411,21 +412,21 @@ class _RowSum:
         self.carry = self.step(self.carry, *block)
 
     def done(self):
-        walk, carry = self.walk, self.carry
+        this, carry = _this_thread, self.carry
         self.carry = None
-        if walk is None:
+        if this.halves is None:
             return carry if self.finish is None else self.finish(carry)
-        if walk.half == 0:
-            walk.halves.hand_over(self.slot, carry)
+        if this.half == 0:
+            this.halves.hand_over(self.slot, carry)
         else:
-            walk.halves.value[self.slot] = carry if self.finish is None else self.finish(carry)
+            this.halves.value[self.slot] = carry if self.finish is None else self.finish(carry)
         return self
 
 
 def _row_sum(*block, finish: Optional[Callable] = None, step: Callable = _carry_rows,
              borrowed: bool = False):
     """A ``_RowSum`` of the one ``block``, done."""
-    if _this_thread.walk is None:  # one graph over all the rows: no sum to share
+    if _this_thread.halves is None:  # one graph over all the rows: no sum to share
         total = step(None, *block)
         return total if finish is None else finish(total)
     total = _RowSum(finish, step)
@@ -915,99 +916,88 @@ def stop_gradient(x: Tensor) -> Tensor:
     return Tensor(x.data.copy())
 
 
-class _RowJoin(OpNode):
-    __slots__ = ("run",)
-
-
-def row_join(first: Tensor, second: Tensor, run: Callable) -> Tensor:
+def row_join(first: Tensor, second: Tensor) -> Tensor:
     """``first`` and ``second`` stacked along their leading axis, the batch rows.
 
     The two are the outputs of the same ops on two blocks of batch rows,
     built in one graph each (``Model.forward`` runs its halves on two
-    threads). ``run(fn, 0, 1)`` returns ``(fn(0), fn(1))``, running them
-    where it decides, or None to have the caller run both in turn:
-    ``backward`` walks each half's subgraph through it. Gradients for
-    inputs without a row axis (weights, biases, tables) are sums over
-    batch rows, and the halves share them as ``_RowSum``s, so every
-    gradient has the bits of one graph over all the rows. No ``.grad``
-    of a leaf is written until both halves are done.
+    threads). ``backward`` walks each half's subgraph on its own thread
+    (``parallel.on_two_threads``), or both on the caller's when the
+    helper is busy. Gradients for inputs without a row axis (weights,
+    biases, tables, a lookup the halves share) are sums over batch rows,
+    and the halves share them as ``_RowSum``s, so every gradient has the
+    bits of one graph over all the rows. No ``.grad`` of a leaf is
+    written until both halves are done.
     """
     out = Tensor(np.concatenate([first.data, second.data]))
     if first.requires_grad and second.requires_grad:
         rows = len(first.data)
         out.requires_grad = True
-        out._node = _RowJoin("row-join", (first._node, second._node), out,
-                             lambda g: (g[:rows], g[rows:]))
-        out._node.run = run
+        out._node = OpNode("row-join", (first._node, second._node), out,
+                           lambda g: (g[:rows], g[rows:]))
     return out
 
 
-def _walk(nodes: list, flow: dict, finished: Optional[dict] = None) -> list:
+def _walk(nodes: list, flow: dict) -> list:
     """Run the backward rules of ``nodes``, topologically ordered, from ``flow``.
 
     ``flow`` maps an OpNode or leaf to the gradient flowing into it so
     far; each node's entry is consumed when its rule runs, and the
-    leaves' entries are left. ``finished[node]`` lists (input, gradient)
-    pairs that go into ``flow`` where ``node`` is reached. Returns the
-    (node, input, ``_RowSum``) of each sum left open by a walk of one
-    row half.
+    leaves' entries are left. Returns the (input, ``_RowSum``) of each
+    sum left open by a walk of one row half.
     """
     opened = []
     for node in reversed(nodes):
-        if finished:
-            for parent, pg in finished.pop(node, ()):
-                flow[parent] = flow[parent] + pg if parent in flow else pg
         g = flow.pop(node, None)
         if g is None:
             continue
         out = node.output
         if out is not None:  # still held by the caller
             out.grad = g if out.grad is None else out.grad + g
-        if type(node) is _RowJoin:
+        if node.op == "row-join":
             _walk_halves(node, g, flow)
             continue
         for parent, pg in zip(node.inputs, node.backward(g)):
             if pg is None or (type(parent) is Tensor and not parent.requires_grad):
                 continue
             if type(pg) is _RowSum:
-                opened.append((node, parent, pg))
+                opened.append((parent, pg))
                 continue
             flow[parent] = flow[parent] + pg if parent in flow else pg
     return opened
 
 
-def _walk_halves(join: _RowJoin, g: np.ndarray, flow: dict) -> None:
+def _walk_halves(join: OpNode, g: np.ndarray, flow: dict) -> None:
     """Walk each half of ``join`` from its rows of ``g``, then add the
     gradients that leave the rows into ``flow``.
 
-    Nothing but the row sums leaves a half, so the first half's
-    subgraph, replayed on this thread with its finished sums, carries the
-    rest: the nodes without a row axis that the sums flow into (the
-    position-embedding lookup) run there, in the order one graph would
-    run them.
+    Only row sums leave a half, and each ends in a leaf or in a node the
+    halves share (the position-embedding lookup), which is no half's own:
+    the walk that called this one reaches that node after ``join``, as
+    one graph's walk would. They go into ``flow`` in the first half's
+    order, which is one graph's order too.
     """
     halves, grads = _Halves(), join.backward(g)
 
-    def walk(half: int) -> tuple:
+    def walk(half: int) -> list:
         root = join.inputs[half]
-        nodes, own = ComputationRecord._ops_behind(root), {root: grads[half]}
-        outer, _this_thread.walk = _this_thread.walk, _HalfWalk(halves, half)
+        own, this = {root: grads[half]}, _this_thread
+        this.halves, this.half, this.opened = halves, half, 0
         try:
-            opened = _walk(nodes, own)
+            opened = _walk(ComputationRecord._ops_behind(root), own)
         finally:
-            _this_thread.walk = outer
+            this.halves = None
             if half == 0:  # the second half may wait for a sum that will not come
                 halves.end_first()
         if own:
             raise RuntimeError(f"row-join: a gradient left row half {half} without a row sum")
-        return nodes, opened
+        return opened
 
-    both = join.run(walk, 0, 1)
-    (nodes, opened), _ = both if both is not None else (walk(0), walk(1))
-    finished: dict = {}
-    for node, parent, total in opened:
-        finished.setdefault(node, []).append((parent, halves.value[total.slot]))
-    _walk(nodes, flow, finished)
+    both = on_two_threads(walk, 0, 1)
+    opened, _ = both if both is not None else (walk(0), walk(1))
+    for parent, total in opened:
+        pg = halves.value[total.slot]
+        flow[parent] = flow[parent] + pg if parent in flow else pg
 
 
 def backward(loss: Tensor) -> ComputationRecord:

@@ -185,8 +185,9 @@ class EvalConfig(CommandConfig):
             raise ValueError(f"'split' must be 'in' or 'ood', got {self.split!r}")
         if self.k < 1:
             raise ValueError(f"'k' must be >= 1, got {self.k}")
-        if not (math.isfinite(self.temperature) and self.temperature > 0) and not self.greedy:
-            raise ValueError(f"'temperature' must be finite and > 0 unless greedy, "
+        # finite even when greedy, which ignores it: the results record it as JSON
+        if not math.isfinite(self.temperature) or (self.temperature <= 0 and not self.greedy):
+            raise ValueError(f"'temperature' must be finite, and > 0 unless greedy, "
                              f"got {self.temperature}")
 
 

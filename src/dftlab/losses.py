@@ -23,6 +23,8 @@ losses is the point of the contrast.
 
 Each kind's weight is written once, in ``_weight``, which
 ``compute_loss`` (and so each of the five ``*_loss`` functions) reads.
+``sequence_probs`` is the one formula for a row's pi(y*|x), the
+dft_sequence weight and training's ``mean_seq_p``.
 """
 
 from __future__ import annotations
@@ -86,6 +88,11 @@ def _prep_mask(token_log_probs: Tensor, mask) -> np.ndarray:
     return mask
 
 
+def sequence_probs(log_probs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """pi(y*|x) of each row: exp of the sum of its unmasked token log probs."""
+    return np.exp(np.sum(np.where(mask, log_probs, 0.0), axis=-1))
+
+
 def _weight(spec: LossSpec, logp: Tensor, mask: np.ndarray, ref=None):
     """The one definition of each kind's multiplier on -log p.
 
@@ -99,7 +106,7 @@ def _weight(spec: LossSpec, logp: Tensor, mask: np.ndarray, ref=None):
     if spec.kind == "dft_token":
         return stop_gradient(exp(logp))
     if spec.kind == "dft_sequence":
-        return np.exp(np.sum(np.where(mask, logp.data, 0.0), axis=-1))
+        return sequence_probs(logp.data, mask)
     if spec.kind == "focal":
         return scale(exp(logp), -1.0, shift=1.0) ** spec.gamma
     if ref is None:

@@ -35,23 +35,23 @@ for backward and recomputes the hidden layer there.
 
 A forward without a cache, of at least 2 rows with rows × length ×
 ``d_model`` at least ``BLOCK_ELEMS``, in a process whose CPU affinity
-allows 2 CPUs or more, runs rows ``[b//2:]`` on one persistent helper
-thread while the caller runs the rest, and stacks the logits with
-``autodiff.row_join``. Both halves run the same serial forward, and no
-row's arithmetic depends on the other rows, so the logits keep their
-bits. That covers training forwards as well as the teacher-forced
+allows 2 CPUs or more, runs rows ``[b//2:]`` on the persistent helper
+thread of ``dftlab.parallel`` (``on_two_threads``) while the caller runs
+the rest, and stacks the logits with ``autodiff.row_join``. Both halves
+run the same serial forward on one shared position-embedding lookup,
+and no row's arithmetic depends on the other rows, so the logits keep
+their bits. That covers training forwards as well as the teacher-forced
 read-outs and iw_sft's reference log-probs; cached prefills and decode
 steps stay on the caller's thread. A training forward's two halves are
 two graphs, and ``backward`` walks them on the same two threads: the
-gradients of the weights, which sum over batch rows, carry on from the
-first half's rows into the second's in row order, so every gradient
-keeps its bits too (``autodiff._RowSum``). A caller that finds the
-helper busy with another thread's rows runs all its rows itself, in a
-forward, or walks both halves itself, in a backward. An error in either
-half reaches the caller once both halves have ended, before any
-parameter's ``.grad`` is written. A forked child drops its parent's
-helper and starts its own. There is no option: the input and the
-affinity decide.
+gradients of the weights and of the shared lookup, which sum over batch
+rows, carry on from the first half's rows into the second's in row
+order, so every gradient keeps its bits too (``autodiff._RowSum``). A
+caller that finds the helper busy with another thread's rows runs all
+its rows itself, in a forward, or walks both halves itself, in a
+backward. An error in either half reaches the caller once both halves
+have ended, before any parameter's ``.grad`` is written. There is no
+option: the input and the affinity decide.
 
 Checkpoint file layout (little-endian throughout):
 
@@ -86,7 +86,6 @@ import math
 import operator
 import os
 import struct
-import threading
 import typing
 from dataclasses import MISSING, dataclass, fields
 
@@ -114,6 +113,7 @@ from .autodiff import (
     softmax_array,
     transpose,
 )
+from .parallel import on_two_threads, usable_cpus
 
 PAD_ID = 0
 EOS_ID = 1
@@ -326,64 +326,22 @@ class KVCache:
         return seg[layer]
 
 
-_helper_lock = threading.Lock()  # held by the one caller whose rows the helper runs
-_helper = None  # the helper thread: a one-worker executor, made at the first split
-
-
-def _drop_helper() -> None:
-    """A forked child has no helper thread, only its parent's record of one."""
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_helper)
-
-
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _on_two_threads(fn, first, second):
-    """``(fn(first), fn(second))``, with ``fn(second)`` run on the helper thread.
-
-    Returns None, having run nothing, when the helper is busy with another
-    caller's work. An error in either call reaches the caller, after both
-    calls have ended.
-    """
-    global _helper
-    lock = _helper_lock
-    if not lock.acquire(blocking=False):
-        return None
-    try:
-        if _helper is None:
-            from concurrent.futures import ThreadPoolExecutor  # loads logging: not at import
-
-            _helper = ThreadPoolExecutor(1, thread_name_prefix="dftlab-rows")
-        rest = _helper.submit(fn, second)
-        try:
-            mine = fn(first)
-        except BaseException:
-            rest.exception()  # wait for the helper's call; the caller's error wins
-            raise
-        return mine, rest.result()
-    finally:
-        lock.release()
-
-
 def _split_rows(model: "Model", ids: np.ndarray, ops: "_Ops") -> Tensor:
     """``model._rows(ids, ops)``, with rows ``[b//2:]`` run on the helper thread.
 
-    No row's arithmetic depends on another row, so the logits keep their
-    bits; ``row_join`` keeps the gradients' bits too, and its backward
-    walks the halves on two threads the same way. A caller that finds the
-    helper busy runs all its rows itself.
+    Both halves add the one position-embedding lookup made here, so the
+    halves of a graph meet in it and in the parameters, and nothing else
+    is shared. No row's arithmetic depends on another row, so the logits
+    keep their bits; ``row_join`` keeps the gradients' bits too, and its
+    backward walks the halves on two threads the same way. A caller that
+    finds the helper busy runs all its rows itself.
     """
     half = len(ids) // 2
-    both = _on_two_threads(lambda part: model._rows(part, ops), ids[:half], ids[half:])
+    pos = ops.embedding(ops.value(model.params["wpe"]), np.arange(ids.shape[1]))
+    both = on_two_threads(lambda part: model._rows(part, ops, pos=pos), ids[:half], ids[half:])
     if both is None:
-        return model._rows(ids, ops)
-    return row_join(*both, _on_two_threads)
+        return model._rows(ids, ops, pos=pos)
+    return row_join(*both)
 
 
 # The calls a forward computes with. ``_GRAPH`` holds the autodiff
@@ -504,16 +462,18 @@ class Model:
                 )
             if not cache.segments:
                 cache.segments.append([])
-        elif b >= 2 and b * t * c.d_model >= BLOCK_ELEMS and _usable_cpus() >= 2:
+        elif b >= 2 and b * t * c.d_model >= BLOCK_ELEMS and usable_cpus() >= 2:
             return _split_rows(self, ids, ops)
         return self._rows(ids, ops, cache, starts, rows)
 
     def _rows(self, ids: np.ndarray, ops: _Ops | None = None, cache: KVCache | None = None,
-              starts=(0,), rows=None) -> Tensor:
+              starts=(0,), rows=None, pos=None) -> Tensor:
         """``forward`` after its checks, computed with ``ops`` (by default the
-        model's own). ``_split_rows`` runs it on two threads at once, so it
-        never calls ``forward``: a traced run wraps that name with a span
-        recorder only one thread may use. A cache comes only with ``_ARRAYS``."""
+        model's own), on ``pos`` as the position embeddings when it is given.
+        ``_split_rows`` runs it on two threads at once, with one ``pos`` for
+        both, so it never calls ``forward``: a traced run wraps that name
+        with a span recorder only one thread may use. A cache comes only
+        with ``_ARRAYS``."""
         b, t = ids.shape
         c = self.config
         rows = rows or [b]
@@ -522,11 +482,13 @@ class Model:
         h = c.n_heads
         hd = c.d_model // h
 
-        if len(starts) == 1:
-            positions = np.arange(starts[0], starts[0] + t)
-        else:  # each segment's rows at that segment's positions
-            positions = np.repeat(starts, rows)[:, None] + np.arange(t)
-        x = ops.add(ops.embedding(p["wte"], ids), ops.embedding(p["wpe"], positions))
+        if pos is None:
+            if len(starts) == 1:
+                positions = np.arange(starts[0], starts[0] + t)
+            else:  # each segment's rows at that segment's positions
+                positions = np.repeat(starts, rows)[:, None] + np.arange(t)
+            pos = ops.embedding(p["wpe"], positions)
+        x = ops.add(ops.embedding(p["wte"], ids), pos)
         # One new position sees every cached one: no entry to mask.
         masks = ([~np.tril(np.ones((t, start + t), dtype=bool), k=start) for start in starts]
                  if t > 1 else [None] * len(starts))

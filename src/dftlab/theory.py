@@ -32,41 +32,24 @@ it with the stop-gradient route, and one weighted backward would be that
 route itself, leaving the check unable to fail.
 
 ``run_verification`` runs its four checks on two processes when the
-process may use 2 CPUs (``_on_two_processes``): the two enumerated
-checks, the importance-sampling identity and the score function's zero
-mean, in a forked child, and the token-scaled gradient identity and the
-variance probe in the caller. Each check seeds its own models and draws,
-so the report keeps its order and every bit. The checks build thousands
-of tiny graphs (d=8, T<=5), whose time is Python's, not BLAS's: at the
-``oracle`` benchmark grid on a 2-core box the suite took 131-138 ms
-serially, 96 ms on two processes and 171 ms split over the model's row
-helper thread instead, because two threads take turns holding the
-interpreter. The variance probe stays in the caller, so a traced run
-still sees its ``grad_log_prob`` spans; what the child records is
-dropped with it.
-
-``_on_two_processes(fn, first, second)`` keeps ``model._on_two_threads``'s
-contract with a child made by ``os.fork`` in place of the helper thread:
-the child runs ``fn(second)``, pickles its result, or its error and that
-error's formatted traceback, to a pipe and leaves through ``os._exit``;
-the caller runs ``fn(first)``, reads the pipe to its end and reaps the
-child, killing it first if its own half raises or is interrupted. It
-declines, running nothing, in a process allowed one CPU, on a platform
-without ``os.fork``, and in such a child, so a child never forks again.
-On a 2-core VM the fork of a 55 MB process took 1.6-3 ms; after it, the
-caller takes a minor page fault on each page it first writes: about
-1,800 over the benchmark's ``oracle`` verify, and 4,400 more in the
-training round after it.
+process may use 2 CPUs (``parallel.on_two_processes``, which owns the
+fork): the two enumerated checks, the importance-sampling identity and
+the score function's zero mean, in a forked child, and the token-scaled
+gradient identity and the variance probe in the caller. Each check seeds
+its own models and draws, so the report keeps its order and every bit.
+The checks build thousands of tiny graphs (d=8, T<=5), whose time is
+Python's, not BLAS's: at the ``oracle`` benchmark grid on a 2-core box
+the suite took 131-138 ms serially, 96 ms on two processes and 171 ms
+split over the row helper thread instead, because two threads take
+turns holding the interpreter. The variance probe stays in the caller,
+so a traced run still sees its ``grad_log_prob`` spans; what the child
+records is dropped with it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-import pickle
-import signal
-import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +57,8 @@ import numpy as np
 from .autodiff import Tensor, backward, mul, softmax_array
 from .evalreport import teacher_forced_probs
 from .losses import dft_token_loss, sft_loss
-from .model import Model, ModelConfig, Record, _usable_cpus, batch_token_log_probs, inverse_cdf
+from .model import Model, ModelConfig, Record, batch_token_log_probs, inverse_cdf
+from .parallel import on_two_processes
 from .seeding import derive_seed
 
 # Rows per batched forward and backward in ``_weighted_grad``; bounds peak
@@ -362,84 +346,6 @@ class VerifyConfig(Record):
                 raise ValueError(f"{key!r} must be >= {low}, got {getattr(self, key)!r}")
 
 
-_in_split_child = False  # True in a child made by _on_two_processes
-
-
-def _on_two_processes(fn, first, second):
-    """``(fn(first), fn(second))``, with ``fn(second)`` run in a forked child.
-
-    Returns None, having run nothing, when the process may use one CPU, when
-    the platform has no ``os.fork``, or when the caller is itself such a
-    child. The child sends its result, or its error, back pickled, so
-    ``fn(second)`` must return something picklable; what it changes in
-    memory stays in the child, and what it prints through ``sys.stdout``
-    is never flushed. An error in either call reaches the caller, after
-    both calls have ended; the child's carries the child's traceback as a
-    note. A child that leaves no result is a RuntimeError naming its wait
-    status. No child outlives the call.
-    """
-    if _in_split_child or not hasattr(os, "fork") or _usable_cpus() < 2:
-        return None
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        _child_half(fn, second, read_end, write_end)  # never returns
-    os.close(write_end)
-    with open(read_end, "rb") as pipe:
-        try:
-            mine = fn(first)
-            payload = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = _reap(pid)
-    if status != 0 or not payload:  # 0: exited with code 0
-        raise RuntimeError(f"the forked half left no result (wait status {status}, "
-                           f"exit code {os.waitstatus_to_exitcode(status)})")
-    ok, theirs, trace = pickle.loads(payload)
-    if not ok:
-        theirs.add_note(f"raised in the forked half (pid {pid}):\n{trace}")
-        raise theirs
-    return mine, theirs
-
-
-def _child_half(fn, second, read_end: int, write_end: int) -> None:
-    """The child's side of ``_on_two_processes``: it leaves only through
-    ``os._exit``, so no atexit handler runs, no stdio buffer inherited from
-    the parent is flushed, and control never returns into the parent's stack."""
-    global _in_split_child
-    code = 1
-    try:
-        _in_split_child = True
-        os.close(read_end)
-        try:
-            result = (True, fn(second), None)
-        except BaseException as exc:
-            result = (False, exc, traceback.format_exc())
-        payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)  # if this fails: exit code 1
-        with open(write_end, "wb") as pipe:
-            pipe.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _reap(pid: int) -> int:
-    """Child ``pid``'s wait status; an interrupt while waiting kills and reaps it."""
-    try:
-        return os.waitpid(pid, 0)[1]
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        raise
-
-
 def _run_checks(checks) -> list:
     return [check() for check in checks]
 
@@ -460,7 +366,7 @@ def run_verification(config: VerifyConfig) -> list:
         lambda: _check_gradient_identity(config.seed),
         lambda: _check_variance_ratio(config.seed, config.n_samples),
     ]
-    both = _on_two_processes(_run_checks, in_caller, enumerated)
+    both = on_two_processes(_run_checks, in_caller, enumerated)
     if both is None:
         return _run_checks(enumerated) + _run_checks(in_caller)
     mine, theirs = both

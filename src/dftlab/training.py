@@ -41,7 +41,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .autodiff import backward
-from .losses import LossSpec, compute_loss
+from .losses import LossSpec, compute_loss, sequence_probs
 from .model import Model, ModelConfig, PAD_ID, Record, batch_token_log_probs, save_checkpoint
 from .seeding import derive_seed
 
@@ -359,7 +359,7 @@ def train_run(config: RunConfig, train_data,
                 lr = lr_at(config, step, total)
                 adamw_step(model.params, grads, state, lr, config.weight_decay)
                 p = np.exp(logp.data)[mask]
-                seq_p = np.exp(np.where(mask, logp.data, 0.0).sum(axis=-1))
+                seq_p = sequence_probs(logp.data, mask)
                 # The graph goes before the next batch's forward. Its freed pages
                 # stay mapped for that forward (dftlab.allocator), wherever the
                 # graph sat on the heap.

@@ -1,11 +1,19 @@
-"""Shared test oracles: finite differences and gradient utilities.
+"""Shared test oracles: finite differences and gradient utilities, and
+stand-ins for the two-way machinery of ``dftlab.parallel``.
 
 The finite-difference oracles (``fd_gradients``, ``directional_fd``) stay
 independent of the autodiff backward rules they check: they only call
 forward code. ``analytic_gradients``, which gives the gradient under
 test, is the one helper that calls ``backward``. The token-by-token
 reference for the dynamic loss is ``theory.dft_token_reference_grad``.
+
+``cpus`` makes the process look as if it may run on n CPUs;
+``CountingHelper`` and ``RefusingHelper`` stand in for the helper thread
+(``parallel._helper``), to record or to refuse the work handed to it.
 """
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -75,3 +83,26 @@ def check_gradients(f, tensors, rel_tol=1e-5, step=FD_STEP):
     an = analytic_gradients(f, tensors)
     errs = [max_rel_err(a, n) for a, n in zip(an, fd)]
     return max(errs) if errs else 0.0
+
+
+def cpus(monkeypatch, n):
+    """Runs as on an n-CPU box, whatever this one has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class CountingHelper:
+    """A one-thread executor that records what each job it is given works on:
+    a forward's row block by its shape, a backward's half by its index, 1."""
+
+    def __init__(self):
+        self.pool = ThreadPoolExecutor(1)
+        self.jobs = []
+
+    def submit(self, fn, part):
+        self.jobs.append(getattr(part, "shape", part))
+        return self.pool.submit(fn, part)
+
+
+class RefusingHelper:
+    def submit(self, fn, part):
+        raise AssertionError("reached the helper thread")

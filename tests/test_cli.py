@@ -686,6 +686,7 @@ def test_verify_value_of_wrong_type_exits_one_naming_it(tmp_path, capsys, overri
     ("eval", {"temperature": 0}, "'temperature'"),
     ("train", {"eval_temperature": float("nan")}, "'eval_temperature' must be finite"),
     ("eval", {"temperature": float("inf")}, "'temperature' must be finite"),
+    ("eval", {"temperature": float("nan"), "greedy": True}, "'temperature' must be finite"),
     ("rft-sample", {"rft": {"seed": 4, "temperature": float("nan")}},
      "temperature must be finite"),
     ("gen-data", {"task": {"task_kind": "sequence-reversal", "train_difficulty_range": [1, 1],
@@ -698,7 +699,8 @@ def test_verify_value_of_wrong_type_exits_one_naming_it(tmp_path, capsys, overri
         "task-range-one-value", "figures-batch-sizes-null", "analyze-no-bin-edges",
         "analyze-bin-edges-descending", "sweep-temperature-0", "train-temperature-0",
         "figures-temperature-negative", "eval-k-0", "eval-temperature-0",
-        "train-temperature-nan", "eval-temperature-inf", "rft-temperature-nan",
+        "train-temperature-nan", "eval-temperature-inf", "eval-greedy-temperature-nan",
+        "rft-temperature-nan",
         "gen-data-split-beyond-prompt-space"])
 def test_value_of_wrong_type_or_missing_exits_one_naming_it(tmp_path, base_config,
                                                             warm_checkpoint, capsys,

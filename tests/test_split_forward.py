@@ -14,14 +14,14 @@ import multiprocessing
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from dftlab import model as model_mod
-from dftlab.autodiff import BLOCK_ELEMS
+from dftlab import parallel
+from dftlab.autodiff import BLOCK_ELEMS, ComputationRecord
 from dftlab.model import KVCache, Model, ModelConfig
+from helpers import CountingHelper, RefusingHelper, cpus
 
 ACCEPTANCE = ModelConfig(vocab_size=17, d_model=32, n_layers=2, n_heads=2,
                          context_length=64, seed=3)
@@ -44,39 +44,21 @@ def acceptance_net():
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Runs as on a 2-CPU box, whatever this one has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
-class CountingHelper:
-    """A one-thread executor that records the shape of each job it is given."""
-
-    def __init__(self):
-        self.pool = ThreadPoolExecutor(1)
-        self.jobs = []
-
-    def submit(self, fn, part):
-        self.jobs.append(part.shape)
-        return self.pool.submit(fn, part)
-
-
-class RefusingHelper:
-    def submit(self, fn, part):
-        raise AssertionError("reached the helper thread")
+    cpus(monkeypatch, 2)
 
 
 @pytest.fixture
 def submits(monkeypatch, two_cpus):
     """The shapes of the row blocks handed to the helper thread."""
     helper = CountingHelper()
-    monkeypatch.setattr(model_mod, "_helper", helper)
+    monkeypatch.setattr(parallel, "_helper", helper)
     yield helper.jobs
     helper.pool.shutdown()
 
 
 @pytest.fixture
 def no_helper(monkeypatch, two_cpus):
-    monkeypatch.setattr(model_mod, "_helper", RefusingHelper())
+    monkeypatch.setattr(parallel, "_helper", RefusingHelper())
 
 
 @pytest.mark.parametrize("config, rows, length", [
@@ -93,18 +75,18 @@ def test_split_forward_keeps_the_serial_bits(submits, config, rows, length):
     assert same_bits(got, net._rows(ids).data)
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n_cpus", [1, 2])
 @pytest.mark.parametrize("rows", [1, 33, 64])
 @pytest.mark.parametrize("config, length", [(ACCEPTANCE, 47), (DEFAULT, 40)],
                          ids=["acceptance", "default"])
 def test_a_detached_forward_keeps_the_graph_forwards_bits(monkeypatch, config, length, rows,
-                                                          cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+                                                          n_cpus):
+    cpus(monkeypatch, n_cpus)
     trainable = Model(config)
     ids = ids_for(config, rows, length)
     graph = trainable.forward(ids)
     assert graph.requires_grad
-    assert (graph._node.op == "row-join") == (cpus == 2 and rows > 1)
+    assert (graph._node.op == "row-join") == (n_cpus == 2 and rows > 1)
     assert same_bits(trainable.detached().forward(ids).data, graph.data)
 
 
@@ -115,6 +97,16 @@ def test_a_trainable_forward_joins_its_row_halves(submits):
     assert submits == [(32, 47)]
     assert out.requires_grad and out._node.op == "row-join"
     assert same_bits(out.data, trainable.detached()._rows(ids).data)
+
+
+def test_the_halves_of_a_trainable_forward_share_one_position_lookup(submits):
+    trainable = Model(ACCEPTANCE)
+    out = trainable.forward(ids_for(ACCEPTANCE, 64, 47))
+    assert submits == [(32, 47)]
+    wpe = trainable.params["wpe"]
+    lookups = [node for node in ComputationRecord.trace(out)
+               if node.op == "embedding-lookup" and node.inputs[0] is wpe]
+    assert len(lookups) == 1
 
 
 def test_a_cached_forward_never_reaches_the_helper(no_helper, acceptance_net):
@@ -133,7 +125,7 @@ def test_an_input_below_one_block_never_reaches_the_helper(no_helper, acceptance
 
 def test_a_process_allowed_one_cpu_never_reaches_the_helper(no_helper, monkeypatch,
                                                             acceptance_net):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    cpus(monkeypatch, 1)
     ids = ids_for(ACCEPTANCE, 64, 47)
     assert same_bits(acceptance_net.forward(ids).data, acceptance_net._rows(ids).data)
 
@@ -143,10 +135,10 @@ def test_an_error_in_the_helpers_half_reaches_the_caller(submits, monkeypatch, a
     serial = acceptance_net._rows(ids).data
     rows = Model._rows
 
-    def fail_off_the_caller(self, part, *args):
+    def fail_off_the_caller(self, part, *args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
             raise RuntimeError("helper half failed")
-        return rows(self, part, *args)
+        return rows(self, part, *args, **kwargs)
 
     monkeypatch.setattr(Model, "_rows", fail_off_the_caller)
     with pytest.raises(RuntimeError, match="helper half failed"):
@@ -158,7 +150,7 @@ def test_an_error_in_the_helpers_half_reaches_the_caller(submits, monkeypatch, a
 
 def test_a_caller_that_finds_the_helper_busy_runs_its_rows_itself(no_helper, acceptance_net):
     ids = ids_for(ACCEPTANCE, 64, 47)
-    with model_mod._helper_lock:
+    with parallel._helper_lock:
         got = acceptance_net.forward(ids).data
     assert same_bits(got, acceptance_net._rows(ids).data)
 
@@ -195,7 +187,7 @@ def test_concurrent_callers_all_get_the_serial_bits(submits, acceptance_net):
 def _child_forward(conn):
     net = Model(ACCEPTANCE).detached()
     logits = net.forward(ids_for(ACCEPTANCE, 64, 47)).data
-    conn.send((logits, type(model_mod._helper).__name__))
+    conn.send((logits, type(parallel._helper).__name__))
     conn.close()
 
 

@@ -14,13 +14,11 @@ import multiprocessing
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from dftlab import autodiff
-from dftlab import model as model_mod
+from dftlab import autodiff, parallel
 from dftlab.autodiff import BLOCK_ELEMS, backward
 from dftlab.losses import KINDS, REDUCTIONS, LossSpec, compute_loss
 from dftlab.model import Model, ModelConfig, batch_token_log_probs
@@ -33,6 +31,7 @@ from dftlab.training import (
     encode_demonstrations,
     train_run,
 )
+from helpers import CountingHelper, RefusingHelper, cpus
 
 ACCEPTANCE = ModelConfig(vocab_size=17, d_model=32, n_layers=2, n_heads=2,
                          context_length=64, seed=0)
@@ -59,33 +58,12 @@ def batch(demos, rows):
     return collate(encode_demonstrations(demos[:rows]))
 
 
-def cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-class CountingHelper:
-    """A one-thread executor that records what each job it is given works on."""
-
-    def __init__(self):
-        self.pool = ThreadPoolExecutor(1)
-        self.jobs = []
-
-    def submit(self, fn, part):
-        self.jobs.append(getattr(part, "shape", part))  # ids for a forward, 1 for a backward
-        return self.pool.submit(fn, part)
-
-
-class RefusingHelper:
-    def submit(self, fn, part):
-        raise AssertionError("reached the helper thread")
-
-
 @pytest.fixture
 def helper(monkeypatch):
     """A 2-CPU process whose helper thread counts its jobs."""
     cpus(monkeypatch, 2)
     counting = CountingHelper()
-    monkeypatch.setattr(model_mod, "_helper", counting)
+    monkeypatch.setattr(parallel, "_helper", counting)
     yield counting.jobs
     counting.pool.shutdown()
 
@@ -104,7 +82,7 @@ def step(model, ids, mask, spec):
 def serial_step(monkeypatch, model, ids, mask, spec):
     with monkeypatch.context() as m:
         cpus(m, 1)
-        m.setattr(model_mod, "_helper", RefusingHelper())
+        m.setattr(parallel, "_helper", RefusingHelper())
         return step(model, ids, mask, spec)
 
 
@@ -172,7 +150,7 @@ def test_three_split_adamw_steps_keep_the_serial_parameters(monkeypatch, tmp_pat
 
 @pytest.mark.parametrize("case", ["below-one-block", "one-cpu"])
 def test_a_small_batch_or_a_one_cpu_process_never_reaches_the_helper(monkeypatch, demos, case):
-    monkeypatch.setattr(model_mod, "_helper", RefusingHelper())
+    monkeypatch.setattr(parallel, "_helper", RefusingHelper())
     if case == "below-one-block":
         cpus(monkeypatch, 2)
         ids, mask = batch(demos, 2)
@@ -223,20 +201,20 @@ def test_a_busy_helper_gives_the_serial_bits(monkeypatch, demos, busy):
     ids, mask = batch(demos, 32)
     model, spec = Model(ACCEPTANCE), spec_for("sft")
     want = serial_step(monkeypatch, model, ids, mask, spec)
-    monkeypatch.setattr(model_mod, "_helper", RefusingHelper())
+    monkeypatch.setattr(parallel, "_helper", RefusingHelper())
     model.zero_grad()
     if busy == "forward":  # the caller runs all its rows itself
-        with model_mod._helper_lock:
+        with parallel._helper_lock:
             logp = batch_token_log_probs(model, ids)
     else:  # split forward; the caller walks both halves itself
         with monkeypatch.context() as m:
             counting = CountingHelper()
-            m.setattr(model_mod, "_helper", counting)
+            m.setattr(parallel, "_helper", counting)
             logp = batch_token_log_probs(model, ids)
             counting.pool.shutdown()
         assert counting.jobs == [(16, ids.shape[1] - 1)]
     loss = compute_loss(spec, logp, mask)
-    with model_mod._helper_lock:
+    with parallel._helper_lock:
         backward(loss)
     got = loss.data, {name: t.grad for name, t in model.params.items()}
     assert same_step(got, want)
@@ -276,7 +254,7 @@ def test_concurrent_split_steps_all_get_the_serial_bits(monkeypatch, demos):
 def _child_step(conn, ids, mask):
     model = Model(ACCEPTANCE)
     loss, grads = step(model, ids, mask, spec_for("sft"))
-    conn.send((loss, grads, type(model_mod._helper).__name__))
+    conn.send((loss, grads, type(parallel._helper).__name__))
     conn.close()
 
 

@@ -1,6 +1,6 @@
 """``dftlab verify`` runs its oracle checks on two processes, bit for bit.
 
-``theory._on_two_processes(fn, first, second)`` returns ``(fn(first),
+``parallel.on_two_processes(fn, first, second)`` returns ``(fn(first),
 fn(second))`` with ``fn(second)`` run in a child made by ``os.fork``, or
 None, having run nothing, in a 1-CPU process, without ``os.fork``, or in
 such a child. ``theory.run_verification`` runs the two enumerated checks
@@ -19,14 +19,14 @@ import time
 import numpy as np
 import pytest
 
-from dftlab import cli, theory
-from dftlab import model as model_mod
+from dftlab import cli, parallel, theory
 from dftlab.autodiff import backward
 from dftlab.losses import LossSpec, compute_loss
 from dftlab.model import Model, ModelConfig, batch_token_log_probs
-from dftlab.theory import _on_two_processes
+from dftlab.parallel import on_two_processes
 from dftlab.tasks import default_task_spec, generate_dataset
 from dftlab.training import collate, encode_demonstrations
+from helpers import cpus
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -40,10 +40,6 @@ GOLDEN_REPORT_SHA256 = {
 SMALL = theory.VerifyConfig(vocab_sizes=[2], horizons=[1, 2], models_per_cell=1,
                             n_samples=4000)
 TIMEOUT_S = 30
-
-
-def cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 @pytest.fixture(autouse=True)
@@ -122,7 +118,7 @@ def test_an_error_in_the_childs_half_reaches_the_caller(monkeypatch, two_cpus):
 
 def test_a_child_that_leaves_no_result_is_a_runtime_error(monkeypatch, two_cpus):
     def die(*args):
-        assert theory._in_split_child, "would have ended the test process"
+        assert parallel._in_split_child, "would have ended the test process"
         os._exit(3)
 
     monkeypatch.setattr(theory, "_check_importance_identity", die)
@@ -138,7 +134,7 @@ def test_an_error_in_the_callers_half_kills_the_child(two_cpus):
 
     start = time.monotonic()
     with pytest.raises(KeyError, match="caller"):
-        _on_two_processes(half, "caller", "child")
+        on_two_processes(half, "caller", "child")
     assert time.monotonic() - start < TIMEOUT_S
 
 
@@ -147,7 +143,7 @@ def megabyte(seed):
 
 
 def test_a_megabyte_result_returns_intact(two_cpus):
-    mine, theirs = _on_two_processes(megabyte, 1, 2)
+    mine, theirs = on_two_processes(megabyte, 1, 2)
     assert np.array_equal(mine, megabyte(1))
     assert theirs.dtype == np.float64 and np.array_equal(theirs, megabyte(2))
 
@@ -155,18 +151,18 @@ def test_a_megabyte_result_returns_intact(two_cpus):
 def test_a_one_cpu_process_never_forks(monkeypatch):
     cpus(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", refuse_fork)
-    assert _on_two_processes(megabyte, 1, 2) is None
+    assert on_two_processes(megabyte, 1, 2) is None
     assert [r["passed"] for r in theory.run_verification(SMALL)] == [True] * 4
 
 
 def test_a_split_child_never_forks_again(monkeypatch, two_cpus):
     def half(x):  # in the child, a split of its own; a grandchild would give (2, 2)
-        return _on_two_processes(abs, x, x) if theory._in_split_child else abs(x)
+        return on_two_processes(abs, x, x) if parallel._in_split_child else abs(x)
 
-    assert _on_two_processes(half, -1, -2) == (1, None)
-    monkeypatch.setattr(theory, "_in_split_child", True)
+    assert on_two_processes(half, -1, -2) == (1, None)
+    monkeypatch.setattr(parallel, "_in_split_child", True)
     monkeypatch.setattr(os, "fork", refuse_fork)
-    assert _on_two_processes(abs, -1, -2) is None
+    assert on_two_processes(abs, -1, -2) is None
     assert [r["passed"] for r in theory.run_verification(SMALL)] == [True] * 4
 
 
@@ -178,6 +174,6 @@ def test_verify_after_a_split_training_step_with_the_helper_alive(two_cpus):
                               context_length=64, seed=0))
     loss = compute_loss(LossSpec("dft_token"), batch_token_log_probs(model, ids), mask)
     backward(loss)
-    assert model_mod._helper is not None  # the step split its rows
+    assert parallel._helper is not None  # the step split its rows
     assert any(t.name.startswith("dftlab-rows") for t in threading.enumerate())
     assert theory.run_verification(SMALL) == before
